@@ -1,16 +1,17 @@
-//! Steady-state cost of pulsed (streaming) inference.
+//! Steady-state cost of streaming inference.
 //!
 //! Each tiny-zoo integer engine is lifted into the IR
-//! (`QuantizedModel::to_graph`), converted into a pulsed model
+//! (`QuantizedModel::to_graph`), wrapped in a streaming model
 //! ([`edd_ir::PulsedModel`]), and fed a long synthetic signal one
-//! row-slice at a time after the rings are primed and the sliding-window
-//! coordinator has reached steady state. Reported per model:
+//! row-slice at a time after its input ring is full and windows are
+//! emitting at a steady rate. Reported per model:
 //!
 //! * **µs/pulse** — mean wall-clock per pushed row over the measured
 //!   stream (the streaming throughput figure: a device can sustain any
 //!   row rate below `1e6 / µs_per_pulse` rows/s);
-//! * per-push latency percentiles (rows that complete a window do a full
-//!   classifier tail and dominate the p99);
+//! * per-push latency percentiles (a push that completes a window runs
+//!   the whole forward and sets the p99; every other push only copies
+//!   its row into the ring);
 //! * **state bytes** — the peak carried state, which is bounded by the
 //!   window geometry and must not depend on stream length.
 //!
@@ -53,7 +54,7 @@ fn main() {
     let rows: usize = if quick { 256 } else { 1024 };
 
     print_header("Pulsed streaming inference: steady-state cost per pushed row");
-    println!("measuring {rows} pushed rows per model after warmup (rings primed)\n");
+    println!("measuring {rows} pushed rows per model after warmup (input ring full)\n");
 
     let mut results = Vec::new();
     for (name, q) in compile_tiny_zoo(0x0DD5EED) {
@@ -86,8 +87,8 @@ fn main() {
             "{name}: pulsed output diverges from the batch engine"
         );
 
-        // Warmup: one window plus one hop, so every ring is primed and the
-        // coordinator is cycling windows, then measure `rows` pushes.
+        // Warmup: one window plus one hop, so the ring is full and windows
+        // are emitting every hop, then measure `rows` pushes.
         let warm = h + hop;
         let pulsed = PulsedModel::from_graph(&g, hop).expect("pulse");
         let mut session = StreamSession::new(pulsed);

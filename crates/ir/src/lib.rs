@@ -24,11 +24,12 @@
 //! 5. **[`artifact`]** — a versioned, CRC-checked binary format (the
 //!    snapshot container with an artifact magic) storing tensors as raw
 //!    bits; `edd compile` writes artifacts, `edd serve` hot-loads them.
-//! 6. **[`pulse`]** — [`PulsedModel`] converts a lowered graph into
-//!    streaming form: fixed-size input slices in, sliding-window outputs
-//!    out at a computed delay, with per-conv ring buffers bounding
-//!    carried state at O(window) independent of stream length, bitwise
-//!    equal to the batch executor on the same windows.
+//! 6. **[`pulse`]** — [`PulsedModel`] streams a lowered graph:
+//!    fixed-size input rows in, sliding-window logits out. It keeps a
+//!    ring of the last window's input rows and recomputes each completed
+//!    window with [`CompiledModel`], so carried state is one window of
+//!    input, independent of stream length, and every window is bitwise
+//!    equal to the batch executor on the same rows.
 //!
 //! The crate deliberately knows nothing about search, training, or
 //! calibration — `edd-core` builds annotated float graphs out of its
@@ -51,4 +52,4 @@ pub use passes::{
     PassReport, PASS_NAMES,
 };
 pub use patch::Patch;
-pub use pulse::{PulsedModel, PulsedProgram, PulsedState, Row};
+pub use pulse::PulsedModel;

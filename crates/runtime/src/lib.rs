@@ -24,8 +24,8 @@
 //!   `push(slice) -> Option<window>` [`StreamModel`] contract for
 //!   continuous signals under a bounded memory budget, with a
 //!   [`StreamSession`] wrapper feeding `pulse.*` counters and a carried
-//!   state-bytes gauge into the telemetry sink. The pulsed executor in
-//!   `edd-ir` implements it.
+//!   state-bytes gauge into the telemetry sink. `PulsedModel` in
+//!   `edd-ir` (an input ring recomputed per window) implements it.
 //! - **Multi-tenant dynamic batching** ([`serve`]): an async front end
 //!   over [`BatchModel`] — a pure, clock-injected [`serve::Batcher`]
 //!   state machine (deterministically testable without threads or wall

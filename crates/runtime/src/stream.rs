@@ -1,17 +1,19 @@
-//! Streaming (pulsed) inference API.
+//! Streaming inference API.
 //!
 //! Embedded deployments rarely see batch-N classification: the realistic
 //! shape is a continuous signal arriving one fixed-size slice at a time,
 //! processed under a fixed memory budget. This module defines the
 //! contract for that mode — [`StreamModel`], a `push(slice) ->
-//! Option<window>` interface over any pulsed executor — plus
+//! Option<window>` interface over any streaming executor — plus
 //! [`StreamSession`], the instrumented wrapper that feeds `pulse.*`
 //! telemetry (push/row/window counters and a carried-state-bytes gauge).
 //!
-//! The pulsed executor itself lives in `edd-ir` (`PulsedModel`), which
-//! implements [`StreamModel`]; this crate only owns the trait so the
-//! serving layer and the CLI can stream against any implementation, the
-//! same way batch serving goes through [`crate::BatchModel`].
+//! The executor itself lives in `edd-ir` (`PulsedModel`: a ring of the
+//! last window's input rows, recomputed through the batch engine when a
+//! window completes), which implements [`StreamModel`]; this crate only
+//! owns the trait so the serving layer and the CLI can stream against any
+//! implementation, the same way batch serving goes through
+//! [`crate::BatchModel`].
 
 use crate::telemetry;
 
@@ -92,8 +94,10 @@ pub trait StreamModel {
     /// Drops all carried state and stream position.
     fn reset(&mut self);
 
-    /// Bytes of carried state currently held (rings, queues, partial
-    /// pools) — the number the O(window) memory bound is stated over.
+    /// Bytes of state carried between pushes (for `PulsedModel`, the
+    /// buffered input rows) — the number the O(window) memory bound is
+    /// stated over. Scratch memory used only inside one push is not
+    /// counted.
     fn state_bytes(&self) -> usize;
 
     /// Serializes the full mid-stream state (not the weights).

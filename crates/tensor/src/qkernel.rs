@@ -89,6 +89,9 @@ pub fn scale_for(range: f32, bits: u32) -> f32 {
 /// Quantizes `src` onto the symmetric grid with the given `scale`, clamping
 /// to `[-qmax, qmax]`: `dst[i] = clamp(round(src[i] / scale))`.
 ///
+/// Non-finite inputs saturate like the float-to-int cast does: NaN maps
+/// to 0, `+∞` to `qmax`, and `-∞` to `-qmax`.
+///
 /// # Panics
 ///
 /// Panics if lengths differ or `qmax` is outside `[1, 127]`.
@@ -1023,6 +1026,20 @@ mod tests {
         let mut q1 = [0i8; 2];
         quantize_i8_into(&mut q1, &[10.0, -10.0], scale, 127);
         assert_eq!(q1, [127, -127]);
+    }
+
+    #[test]
+    fn quantize_saturates_non_finite_inputs() {
+        let mut q = [1i8; 5];
+        let src = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+        ];
+        quantize_i8_into(&mut q, &src, 0.05, 7);
+        assert_eq!(q, [0, 0, 7, -7, 7]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Pulsed streaming inference with bounded memory.
+//! Streaming inference with bounded memory.
 //!
 //! Pipeline: derived arch → brief QAT → calibration → integer engine
 //! ([`edd::core::QuantizedModel`]) → lift into the IR (`to_graph`) →
-//! convert to a pulsed model ([`edd::ir::PulsedModel`]) that consumes a
-//! long signal one row-slice at a time. Each conv keeps only a small ring
-//! of rows, so carried state is bounded by the window geometry — the
+//! wrap in a streaming model ([`edd::ir::PulsedModel`]) that consumes a
+//! long signal one row-slice at a time. It keeps only the last window's
+//! input rows, so carried state is bounded by the window geometry — the
 //! stream can be arbitrarily long. Every emitted sliding-window
 //! classification is checked bitwise against the batch engine run on the
 //! identical rows, and the stream is interrupted, serialized, and resumed
@@ -46,7 +46,7 @@ fn main() {
     let calib = calibrate(&model, &calib_batches).expect("calibration");
     let q = QuantizedModel::compile(&model, &arch, &calib);
 
-    // Lift the engine into the IR and pulse it: one 16-row window, new
+    // Lift the engine into the IR and stream it: one 16-row window, new
     // window every 4 rows.
     let graph = q.to_graph(&arch.name).expect("to_graph");
     let [channels, window, width] = graph.meta.input_shape;

@@ -41,11 +41,13 @@ cargo test --locked -q -p edd-zoo --test artifact_serve
 # architectures, Pareto fronts, and histories across 4-vs-1 worker
 # threads and across a kill/resume through a sweep-*.edds snapshot.
 cargo test --locked -q -p edd-core --test sweep_determinism
-# Pulse leg: streaming (pulsed) execution of every tiny-zoo engine must
-# match the batch engine bit for bit on identical sliding windows, a
-# stream interrupted and resumed mid-window must continue bitwise, and
-# carried state must stay bounded by the window geometry regardless of
-# stream length.
+# Pulse leg: streaming execution of every tiny-zoo engine must match the
+# batch engine bit for bit on identical sliding windows, for any hop and
+# stream length, with the promised window count, first-emission row,
+# indices, and start rows; a stream interrupted and resumed mid-window
+# must continue bitwise, and carried state must stay bounded by the
+# window geometry regardless of stream length.
 cargo test --locked -q -p edd-zoo --test pulse_determinism
+cargo test --locked -q -p edd-zoo --test stream_props
 
 echo "DETERMINISM_RESULT: PASS"

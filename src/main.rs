@@ -695,13 +695,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     drive_server(zoo, config, requests, producers, window, seed)
 }
 
-/// `edd stream`: pulsed streaming inference — convert an integer engine
-/// (compiled from an architecture, or hot-loaded from a `.eddm` artifact
-/// via `--artifact`) into a [`edd::ir::PulsedModel`], then classify a
+/// `edd stream`: streaming inference — wrap an integer engine (compiled
+/// from an architecture, or hot-loaded from a `.eddm` artifact via
+/// `--artifact`) in a [`edd::ir::PulsedModel`], then classify a
 /// deterministic synthetic long signal one row-slice at a time through
-/// sliding windows. Carried state is bounded by the window geometry, never
-/// by the stream length; `--verify` re-runs every emitted window through
-/// the batch engine and checks the logits are bitwise identical.
+/// sliding windows. The model keeps a ring of the last window's input
+/// rows and reruns the engine on it whenever a window completes, so
+/// carried state is one window of input, never a function of the stream
+/// length; `--verify` re-runs every emitted window through the batch
+/// engine and checks the logits are bitwise identical.
 fn cmd_stream(args: &Args) -> Result<(), String> {
     let rows = args.get_usize("rows", 96)?;
     let seed = args.get_usize("seed", 42)? as u64;

@@ -112,6 +112,44 @@ fn compile_then_hot_load_roundtrip() {
 }
 
 #[test]
+fn stream_verifies_hot_loaded_artifact() {
+    let artifact = std::env::temp_dir().join("edd_cli_smoke_stream.eddm");
+    let out = edd()
+        .args(["compile", "--qat-epochs", "1", "--out"])
+        .arg(&artifact)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "compile failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let stream = edd()
+        .args(["stream", "--rows", "40", "--verify", "--artifact"])
+        .arg(&artifact)
+        .output()
+        .expect("runs");
+    assert!(
+        stream.status.success(),
+        "stream --verify failed: {}",
+        String::from_utf8_lossy(&stream.stderr)
+    );
+    let text = String::from_utf8_lossy(&stream.stdout);
+    assert!(text.contains("verified: all"), "stdout: {text}");
+
+    let short = edd()
+        .args(["stream", "--rows", "3", "--artifact"])
+        .arg(&artifact)
+        .output()
+        .expect("runs");
+    assert!(!short.status.success());
+    let err = String::from_utf8_lossy(&short.stderr);
+    assert!(err.contains("shorter than the"), "stderr: {err}");
+    std::fs::remove_file(&artifact).ok();
+}
+
+#[test]
 fn compile_rejects_unknown_pass() {
     let out = edd()
         .args(["compile", "--passes", "loop-unroll"])
