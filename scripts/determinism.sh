@@ -26,6 +26,11 @@ EDD_SIMD=${mode:-<auto>} EDD_GEMM=${EDD_GEMM:-<auto>}"
 cargo test --locked -q -p edd-tensor --test determinism
 cargo test --locked -q -p edd-tensor --test qdeterminism
 cargo test --locked -q -p edd-core --test determinism
+# Golden-pin leg: recorded bit hashes of the depthwise grid (forward and
+# both gradients, finite and NaN/Inf output gradients), eval-mode batch
+# norm, a 2-epoch tiny co-search and every tiny-zoo engine's logits must
+# hold unchanged in every threads x SIMD x GEMM leg.
+cargo test --locked -q --test golden_pins
 # Serving leg: requests answered through 1-shard and 4-shard dynamic-
 # batching servers must match the synchronous InferServer path bit for
 # bit, whatever batches the coalescer happens to form.
