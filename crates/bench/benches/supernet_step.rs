@@ -42,6 +42,18 @@ fn bench_sampled_forward_batch8(c: &mut Criterion) {
     });
 }
 
+fn bench_argmax_eval_forward(c: &mut Criterion) {
+    // The search's validation phase: the argmax path in eval mode, where
+    // every batch norm normalizes with its running statistics.
+    let (_, net, arch, _, _) = setup();
+    net.set_training(false);
+    let mut rng = StdRng::seed_from_u64(15);
+    let x = Tensor::constant(Array::randn(&[16, 3, 16, 16], 1.0, &mut rng));
+    c.bench_function("supernet_argmax_eval_forward", |b| {
+        b.iter(|| black_box(net.forward_argmax(&x, &arch).unwrap()));
+    });
+}
+
 fn bench_weight_step(c: &mut Criterion) {
     let (_, net, arch, _, _) = setup();
     let mut rng = StdRng::seed_from_u64(12);
@@ -93,6 +105,7 @@ criterion_group!(
     benches,
     bench_sampled_forward,
     bench_sampled_forward_batch8,
+    bench_argmax_eval_forward,
     bench_weight_step,
     bench_perf_estimate,
     bench_arch_step

@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the autodiff substrate: the dense kernels
 //! (GEMM, im2col convolution, depthwise convolution, batch norm) that
-//! dominate supernet training time, in both forward and backward modes.
+//! dominate supernet training time, in both forward and backward modes,
+//! plus eval-mode batch norm (the validation and calibration forwards).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use edd_nn::{BatchNorm2d, Module};
 use edd_tensor::{Array, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,6 +82,27 @@ fn bench_dwconv(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_dwconv_fwd_bwd(c: &mut Criterion) {
+    // The supernet's depthwise shape (MBConv expansion 6 of 16 channels on
+    // a 16x16 plane, batch 16): one forward plus the input and weight
+    // gradients of the stride-1 "same" convolution.
+    let mut group = c.benchmark_group("dwconv2d_fwd_bwd");
+    let mut rng = StdRng::seed_from_u64(6);
+    let x = Tensor::param(Array::randn(&[16, 96, 16, 16], 1.0, &mut rng));
+    for k in [3usize, 5, 7] {
+        let w = Tensor::param(Array::randn(&[96, k, k], 0.1, &mut rng));
+        group.bench_function(BenchmarkId::from_parameter(format!("k{k}")), |bench| {
+            bench.iter(|| {
+                x.zero_grad();
+                w.zero_grad();
+                x.dwconv2d(&w, None, 1, k / 2).unwrap().sum().backward();
+                black_box(w.grad())
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_batchnorm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let x = Tensor::param(Array::randn(&[8, 32, 16, 16], 1.0, &mut rng));
@@ -90,6 +113,19 @@ fn bench_batchnorm(c: &mut Criterion) {
     });
 }
 
+fn bench_batchnorm_eval(c: &mut Criterion) {
+    // Eval-mode BN + ReLU6 over running statistics: the normalization of
+    // the search's validation forward and of quantization calibration.
+    let mut rng = StdRng::seed_from_u64(7);
+    let bn = BatchNorm2d::new(96);
+    let x = Tensor::constant(Array::randn(&[16, 96, 16, 16], 1.0, &mut rng));
+    bn.forward(&x).unwrap();
+    bn.set_training(false);
+    c.bench_function("batchnorm_eval_fwd_relu6", |bench| {
+        bench.iter(|| black_box(bn.forward_relu6(&x).unwrap()));
+    });
+}
+
 criterion_group!(
     benches,
     bench_matmul,
@@ -97,6 +133,8 @@ criterion_group!(
     bench_conv_forward,
     bench_conv_backward,
     bench_dwconv,
-    bench_batchnorm
+    bench_dwconv_fwd_bwd,
+    bench_batchnorm,
+    bench_batchnorm_eval
 );
 criterion_main!(benches);
