@@ -113,10 +113,9 @@ impl BatchNorm2d {
 
     /// Forward pass fused with a ReLU6 activation: `relu6(bn(x))`.
     ///
-    /// In training mode this runs as a single fused op node — bitwise
+    /// In both modes this runs as a single fused op node — bitwise
     /// identical to `forward(x)?.relu6()` but with one fewer graph node and
-    /// one fewer full-tensor gradient buffer per call. In eval mode it
-    /// composes the unfused pair.
+    /// one fewer full-tensor gradient buffer per call.
     ///
     /// # Errors
     ///
@@ -127,7 +126,8 @@ impl BatchNorm2d {
             self.update_running_stats(&bn.batch_mean, &bn.batch_var);
             Ok(bn.output)
         } else {
-            Ok(self.forward(x)?.relu6())
+            let (mean, var) = (self.running_mean(), self.running_var());
+            x.batch_norm2d_relu6_eval(&self.gamma, &self.beta, &mean, &var, self.eps)
         }
     }
 }
@@ -139,18 +139,8 @@ impl Module for BatchNorm2d {
             self.update_running_stats(&bn.batch_mean, &bn.batch_var);
             Ok(bn.output)
         } else {
-            // y = gamma * (x - mean) / sqrt(var + eps) + beta, with running
-            // statistics as constants, composed from broadcast primitives.
-            let c = self.channels;
-            let bshape = [1, c, 1, 1];
-            let mean = Tensor::constant(self.running_mean().reshape(&bshape)?);
-            let var = self.running_var();
-            let eps = self.eps;
-            let inv_std =
-                Tensor::constant(var.map(move |v| 1.0 / (v + eps).sqrt()).reshape(&bshape)?);
-            let gamma = self.gamma.reshape(&bshape)?;
-            let beta = self.beta.reshape(&bshape)?;
-            x.sub(&mean)?.mul(&inv_std)?.mul(&gamma)?.add(&beta)
+            let (mean, var) = (self.running_mean(), self.running_var());
+            x.batch_norm2d_eval(&self.gamma, &self.beta, &mean, &var, self.eps)
         }
     }
 
@@ -238,7 +228,7 @@ mod tests {
         // EMA updates must agree too (same batch statistics feed both).
         assert_eq!(fused.running_mean().data(), unfused.running_mean().data());
         assert_eq!(fused.running_var().data(), unfused.running_var().data());
-        // Eval mode composes the unfused pair.
+        // Eval mode fuses the pair too.
         fused.set_training(false);
         unfused.set_training(false);
         let yf = fused.forward_relu6(&x).unwrap();

@@ -74,18 +74,46 @@ const DW_GROUP: usize = 8;
 /// Double-width depthwise group (see [`DW_GROUP`]).
 const DW_GROUP2: usize = 16;
 
-/// One `G`-wide group of stride-1 depthwise outputs anchored at column
-/// `g0` of output row `oy`. Each lane accumulates its taps in ascending
-/// `(ky, kx)` order — the group width only changes how many independent
-/// chains run side by side, never the association within a chain.
+/// Copies the `rows x cols` plane `src` into `padded`, a zeroed plane of
+/// row width `pw`: column `c` lands at column `c + shift` (`shift` may be
+/// negative; columns that fall outside `[0, pw)` are dropped). The other
+/// columns are never written, so they keep their `+0.0` — a buffer reused
+/// for planes of one geometry stays a zero-padded copy.
+fn copy_rows_shifted(
+    padded: &mut [f32],
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    pw: usize,
+    shift: isize,
+) {
+    let c0 = shift.min(0).unsigned_abs();
+    let c1 = cols.min(pw.saturating_add_signed(-shift));
+    if c0 < c1 {
+        let j0 = c0.saturating_add_signed(shift);
+        for r in 0..rows {
+            padded[r * pw + j0..r * pw + j0 + (c1 - c0)]
+                .copy_from_slice(&src[r * cols + c0..r * cols + c1]);
+        }
+    }
+}
+
+/// One `G`-wide group of stride-1 depthwise stencil outputs anchored at
+/// column `g0` of output row `r`. Tap `(ky, kx)` reads padded row
+/// `r + ky - pad` at column offset `kx` for the forward correlation
+/// (`FLIP = false`), and padded row `r + pad - ky` at column offset
+/// `K - 1 - kx` for the input gradient (`FLIP = true`, the transposed
+/// convolution). Either way each lane accumulates its taps in ascending
+/// `(ky, kx)` order from `+0.0` — the group width only changes how many
+/// independent chains run side by side, never the association within one.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dw_group_s1<const K: usize, const G: usize>(
+fn stencil_group_s1<const K: usize, const G: usize, const FLIP: bool>(
     drow: &mut [f32],
     padded: &[f32],
     ker: &[f32],
     pw: usize,
-    oy: usize,
+    r: usize,
     pad: usize,
     ky0: usize,
     ky1: usize,
@@ -93,12 +121,12 @@ fn dw_group_s1<const K: usize, const G: usize>(
 ) {
     let mut acc = [0.0f32; G];
     for ky in ky0..ky1 {
-        let sy = oy + ky - pad;
+        let sy = if FLIP { r + pad - ky } else { r + ky - pad };
         let srow = &padded[sy * pw + g0..sy * pw + g0 + K - 1 + G];
         let krow = &ker[ky * K..ky * K + K];
-        for kx in 0..K {
-            let kv = krow[kx];
-            let s = &srow[kx..kx + G];
+        for (kx, &kv) in krow.iter().enumerate() {
+            let off = if FLIP { K - 1 - kx } else { kx };
+            let s = &srow[off..off + G];
             for (a, &sv) in acc.iter_mut().zip(s) {
                 *a += kv * sv;
             }
@@ -107,13 +135,65 @@ fn dw_group_s1<const K: usize, const G: usize>(
     drow[g0..g0 + G].copy_from_slice(&acc);
 }
 
-/// Stride-1 depthwise stencil with a compile-time kernel width.
+/// Stride-1 stencil over a horizontally zero-padded plane (`rows` rows of
+/// width `pw`), overwriting the `out_h x out_w` plane `dst`. Vertical
+/// clipping stays range-based per output row; every output column sees a
+/// full, branch-free `kx` tap range. Outputs are produced in eight- or
+/// sixteen-lane groups (the last group is anchored at `out_w - G` and may
+/// recompute a few columns of its predecessor).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn stencil_plane_s1<const K: usize, const FLIP: bool>(
+    dst: &mut [f32],
+    padded: &[f32],
+    ker: &[f32],
+    rows: usize,
+    pw: usize,
+    pad: usize,
+    out_h: usize,
+    out_w: usize,
+) {
+    for r in 0..out_h {
+        // Valid `ky` taps for this output row (rows are not padded).
+        let (ky0, ky1) = if FLIP {
+            ((r + pad + 1).saturating_sub(rows), (r + pad + 1).min(K))
+        } else {
+            (pad.saturating_sub(r), (rows + pad).saturating_sub(r).min(K))
+        };
+        let drow = &mut dst[r * out_w..(r + 1) * out_w];
+        if out_w >= DW_GROUP2 {
+            let mut gx = 0;
+            loop {
+                let g0 = gx.min(out_w - DW_GROUP2);
+                stencil_group_s1::<K, DW_GROUP2, FLIP>(drow, padded, ker, pw, r, pad, ky0, ky1, g0);
+                if g0 == out_w - DW_GROUP2 {
+                    break;
+                }
+                gx += DW_GROUP2;
+            }
+        } else if out_w >= DW_GROUP {
+            let mut gx = 0;
+            loop {
+                let g0 = gx.min(out_w - DW_GROUP);
+                stencil_group_s1::<K, DW_GROUP, FLIP>(drow, padded, ker, pw, r, pad, ky0, ky1, g0);
+                if g0 == out_w - DW_GROUP {
+                    break;
+                }
+                gx += DW_GROUP;
+            }
+        } else {
+            for c in 0..out_w {
+                stencil_group_s1::<K, 1, FLIP>(drow, padded, ker, pw, r, pad, ky0, ky1, c);
+            }
+        }
+    }
+}
+
+/// Stride-1 depthwise forward with a compile-time kernel width.
 ///
 /// The plane is first copied into a horizontally zero-padded scratch image
-/// (`ow + K - 1` columns) so *every* output column sees a full, branch-free
-/// `kx` tap range; vertical clipping stays range-based per output row.
-/// Outputs are produced in eight-lane groups (the last group is anchored at
-/// `ow - 8` and may recompute a few columns of its predecessor).
+/// (`ow + K - 1` columns) so the stencil ([`stencil_plane_s1`]) runs
+/// branch-free.
 ///
 /// Bitwise identity with the tap-skipping fallback: per element the taps
 /// accumulate in ascending `(ky, kx)` order either way, and the extra
@@ -122,6 +202,8 @@ fn dw_group_s1<const K: usize, const G: usize>(
 /// is `+0.0` for `x != 0`, and `+0.0 + -0.0` is `+0.0`), and adding `±0.0`
 /// to a non-negative-zero float is exact identity — so the padded chain
 /// passes through exactly the same partial values as the skipping chain.
+/// The argument assumes finite weights: a NaN or infinite `kv` times a pad
+/// zero is NaN, where the skipping loop never forms that product.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
 fn dw_plane_s1<const K: usize>(
@@ -135,54 +217,40 @@ fn dw_plane_s1<const K: usize>(
     ow: usize,
 ) {
     let pw = ow + K - 1; // padded row width: sx = ox + kx spans [0, ow + K - 1)
-    let mut padded = crate::scratch::alloc(h * pw);
-    for sy in 0..h {
-        let prow = &mut padded[sy * pw..(sy + 1) * pw];
-        prow[..pad].fill(0.0);
-        prow[pad..pad + w].copy_from_slice(&src[sy * w..(sy + 1) * w]);
-        prow[pad + w..].fill(0.0);
-    }
-    let padded: &[f32] = &padded;
-    for oy in 0..oh {
-        // Valid `ky` taps for this output row (rows are not padded).
-        let ky0 = pad.saturating_sub(oy);
-        let ky1 = (h + pad).saturating_sub(oy).min(K);
-        let drow = &mut dst[oy * ow..(oy + 1) * ow];
-        if ow >= DW_GROUP2 {
-            let mut gx = 0;
-            loop {
-                let g0 = gx.min(ow - DW_GROUP2);
-                dw_group_s1::<K, DW_GROUP2>(drow, padded, ker, pw, oy, pad, ky0, ky1, g0);
-                if g0 == ow - DW_GROUP2 {
-                    break;
-                }
-                gx += DW_GROUP2;
-            }
-        } else if ow >= DW_GROUP {
-            let mut gx = 0;
-            loop {
-                let g0 = gx.min(ow - DW_GROUP);
-                dw_group_s1::<K, DW_GROUP>(drow, padded, ker, pw, oy, pad, ky0, ky1, g0);
-                if g0 == ow - DW_GROUP {
-                    break;
-                }
-                gx += DW_GROUP;
-            }
-        } else {
-            for (ox, d) in drow.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for ky in ky0..ky1 {
-                    let sy = oy + ky - pad;
-                    let srow = &padded[sy * pw + ox..sy * pw + ox + K];
-                    let krow = &ker[ky * K..ky * K + K];
-                    for (kv, &sv) in krow.iter().zip(srow) {
-                        acc += kv * sv;
-                    }
-                }
-                *d = acc;
-            }
-        }
-    }
+    let mut padded = scratch::alloc_zeroed(h * pw);
+    copy_rows_shifted(&mut padded, src, h, w, pw, pad as isize);
+    stencil_plane_s1::<K, false>(dst, &padded, ker, h, pw, pad, oh, ow);
+}
+
+/// Stride-1 depthwise input gradient as a gather stencil: `dx[sy][sx]`
+/// sums `ker[ky][kx] * gy[sy + pad - ky][sx + pad - kx]` over the taps in
+/// ascending `(ky, kx)` order from `+0.0`, reading a copy of `gy` zero-padded
+/// horizontally to `w + K - 1` columns (gy column `ox` at padded column
+/// `ox + K - 1 - pad`) built in `padded`, a zeroed `oh x (w + K - 1)`
+/// buffer. Overwrites the whole plane.
+///
+/// Bitwise identity with the scatter loop ([`dx_plane_taps`]): there each
+/// `dx` element receives the same products in the same `(ky, kx)` order,
+/// starting from a zeroed buffer, and the extra pad taps here add `kv *
+/// ±0.0` to an accumulator that can never be `-0.0` — the forward's argument
+/// ([`dw_plane_s1`]), with the same finite-weight assumption. NaN and ±Inf
+/// entries of `gy` meet the same products and sums as in the scatter loop.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
+fn dx_plane_s1<const K: usize>(
+    dx: &mut [f32],
+    padded: &mut [f32],
+    ker: &[f32],
+    gy: &[f32],
+    h: usize,
+    w: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    let pw = w + K - 1;
+    copy_rows_shifted(padded, gy, oh, ow, pw, (K - 1) as isize - pad as isize);
+    stencil_plane_s1::<K, true>(dx, padded, ker, oh, pw, pad, h, w);
 }
 
 /// General tap-by-tap depthwise plane: `k*k` shifted-scaled row
@@ -231,36 +299,115 @@ fn dw_plane_taps(
     }
 }
 
-kernel::avx2_dispatch! {
-    /// Depthwise backward for one (image, channel) plane in tap-gather
-    /// form: the `k*k` taps walk precomputed valid output ranges, so the
-    /// inner loops are branch-free — `dx` rows accumulate shifted axpy
-    /// passes over contiguous `gy` rows and each `dw` tap reduces row dot
-    /// products ([`kernel::dot8`], fixed eight-lane association). Per `dx`
-    /// element the taps apply in ascending `(ky, kx)` order and the caller
-    /// reduces per-image `dw` partials in batch order, so results stay
-    /// bitwise identical across thread counts and SIMD modes.
+/// Scratch planes of the stride-1 depthwise backward, allocated zeroed once
+/// per worker and reused for all of its planes. Every plane of one op has
+/// the same geometry, so the zero margins and padding rows, which the
+/// per-plane copies never write, stay zero.
+struct DwGradScratch {
+    /// `gy` zero-padded to `w + k - 1` columns for [`dx_plane_s1`].
+    gy_pad: scratch::ScratchBuf,
+    /// Column-major `gy` and input planes for [`dw_grad_s1`], each column
+    /// followed by `DW_ROWS - 1` zero rows.
+    gy_t: scratch::ScratchBuf,
+    src_t: scratch::ScratchBuf,
+    /// One kernel row's per-row dot products, `[oy][kx]`, and their sums.
+    row_dots: scratch::ScratchBuf,
+    sums: scratch::ScratchBuf,
+}
+
+impl DwGradScratch {
+    /// Buffers for one worker; empty for the paths the op does not take.
     #[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
-    dw_plane_backward / dw_plane_backward_scalar / dw_plane_backward_avx2,
-    (
-        dx: Option<&mut [f32]>,
-        dw: Option<&mut [f32]>,
-        src: &[f32],
-        ker: &[f32],
-        gy: &[f32],
+    fn new(
+        need_x: bool,
+        need_w: bool,
         h: usize,
         w: usize,
         k: usize,
         stride: usize,
-        pad: usize,
         oh: usize,
         ow: usize,
-    )
+    ) -> Self {
+        let gather = need_x && stride == 1 && matches!(k, 3 | 5 | 7);
+        let rows = need_w && stride == 1;
+        let len = |on: bool, n: usize| if on { n } else { 0 };
+        DwGradScratch {
+            gy_pad: scratch::alloc_zeroed(len(gather, oh * (w + k - 1))),
+            gy_t: scratch::alloc_zeroed(len(rows, ow * (oh + DW_ROWS - 1))),
+            src_t: scratch::alloc_zeroed(len(rows, w * (h + DW_ROWS - 1))),
+            row_dots: scratch::alloc(len(rows, oh * k)),
+            sums: scratch::alloc(len(rows, k)),
+        }
+    }
+}
+
+/// Depthwise backward for one (image, channel) plane, accumulating into
+/// `dx` (zeroed by the caller) and `dw`. Per `dx` element the taps apply
+/// in ascending `(ky, kx)` order from `+0.0`; each `dw` tap adds its
+/// per-output-row dot products in ascending row order, and the caller
+/// reduces per-image `dw` partials in batch order — so results stay
+/// bitwise identical across thread counts and SIMD modes.
+///
+/// Stride 1, the search space's only depthwise stride, takes the fast
+/// paths: the gather stencil [`dx_plane_s1`] for `k` in {3, 5, 7} and the
+/// row-batched [`dw_grad_s1`] for every `k`. Other strides and kernel sizes
+/// keep the tap loops [`dx_plane_taps`] / [`dw_grad_strided`].
+///
+/// Dispatched by hand rather than through `avx2_dispatch!`: the AVX2 twin
+/// instantiates the row-batched `dw` reduction with explicit intrinsics
+/// ([`dw_rows8_avx2`]), the portable body with [`dw_rows8_scalar`] — the
+/// same floating-point operations in the same order.
+#[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
+fn dw_plane_backward(
+    scr: &mut DwGradScratch,
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
+    src: &[f32],
+    ker: &[f32],
+    gy: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel::use_avx2() {
+        // SAFETY: AVX2 support verified at runtime just above.
+        return unsafe {
+            dw_plane_backward_avx2(scr, dx, dw, src, ker, gy, h, w, k, stride, pad, oh, ow)
+        };
+    }
+    dw_plane_backward_impl::<false>(scr, dx, dw, src, ker, gy, h, w, k, stride, pad, oh, ow);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn dw_plane_backward_avx2(
+    scr: &mut DwGradScratch,
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
+    src: &[f32],
+    ker: &[f32],
+    gy: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    dw_plane_backward_impl::<true>(scr, dx, dw, src, ker, gy, h, w, k, stride, pad, oh, ow);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dw_plane_backward_scalar(
+fn dw_plane_backward_impl<const AVX2: bool>(
+    scr: &mut DwGradScratch,
     dx: Option<&mut [f32]>,
     dw: Option<&mut [f32]>,
     src: &[f32],
@@ -275,62 +422,276 @@ fn dw_plane_backward_scalar(
     ow: usize,
 ) {
     if let Some(dx) = dx {
-        for ky in 0..k {
-            let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
-            for kx in 0..k {
-                let kv = ker[ky * k + kx];
-                let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
-                if ox0 >= ox1 {
-                    continue;
-                }
-                for oy in oy0..oy1 {
-                    // In-bounds by construction of the valid ranges.
-                    let sy = oy * stride + ky - pad;
-                    let sx0 = ox0 * stride + kx - pad;
-                    let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
-                    if stride == 1 {
-                        let dst_row = &mut dx[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)];
-                        for (d, &g) in dst_row.iter_mut().zip(gy_row) {
-                            *d += kv * g;
-                        }
-                    } else {
-                        let dst_row = &mut dx[sy * w..(sy + 1) * w];
-                        for (j, &g) in gy_row.iter().enumerate() {
-                            dst_row[sx0 + j * stride] += kv * g;
-                        }
+        match (stride, k) {
+            (1, 3) => dx_plane_s1::<3>(dx, &mut scr.gy_pad, ker, gy, h, w, pad, oh, ow),
+            (1, 5) => dx_plane_s1::<5>(dx, &mut scr.gy_pad, ker, gy, h, w, pad, oh, ow),
+            (1, 7) => dx_plane_s1::<7>(dx, &mut scr.gy_pad, ker, gy, h, w, pad, oh, ow),
+            _ => dx_plane_taps(dx, ker, gy, h, w, k, stride, pad, oh, ow),
+        }
+    }
+    if let Some(dw) = dw {
+        if stride == 1 {
+            dw_grad_s1::<AVX2>(scr, dw, src, gy, h, w, k, pad, oh, ow);
+        } else {
+            dw_grad_strided(dw, src, gy, h, w, k, stride, pad, oh, ow);
+        }
+    }
+}
+
+/// Depthwise input gradient in scatter form: the `k*k` taps walk
+/// precomputed valid output ranges and add shifted axpy passes over
+/// contiguous `gy` rows into `dx` (zeroed by the caller), in ascending
+/// `(ky, kx)` order per element.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dx_plane_taps(
+    dx: &mut [f32],
+    ker: &[f32],
+    gy: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    for ky in 0..k {
+        let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
+        for kx in 0..k {
+            let kv = ker[ky * k + kx];
+            let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
+            if ox0 >= ox1 {
+                continue;
+            }
+            for oy in oy0..oy1 {
+                // In-bounds by construction of the valid ranges.
+                let sy = oy * stride + ky - pad;
+                let sx0 = ox0 * stride + kx - pad;
+                let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
+                if stride == 1 {
+                    let dst_row = &mut dx[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)];
+                    for (d, &g) in dst_row.iter_mut().zip(gy_row) {
+                        *d += kv * g;
+                    }
+                } else {
+                    let dst_row = &mut dx[sy * w..(sy + 1) * w];
+                    for (j, &g) in gy_row.iter().enumerate() {
+                        dst_row[sx0 + j * stride] += kv * g;
                     }
                 }
             }
         }
     }
-    if let Some(dw) = dw {
-        for ky in 0..k {
-            let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
-            for kx in 0..k {
-                let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
-                if ox0 >= ox1 {
-                    continue;
+}
+
+/// Depthwise weight gradient for stride > 1: per tap, a sequential sum of
+/// per-row sequential dot products over the strided input columns.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dw_grad_strided(
+    dw: &mut [f32],
+    src: &[f32],
+    gy: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    debug_assert!(stride > 1, "stride 1 uses dw_grad_s1's dot8 association");
+    for ky in 0..k {
+        let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
+        for kx in 0..k {
+            let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
+            if ox0 >= ox1 {
+                continue;
+            }
+            let mut acc = 0.0f32;
+            for oy in oy0..oy1 {
+                let sy = oy * stride + ky - pad;
+                let sx0 = ox0 * stride + kx - pad;
+                let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
+                let src_row = &src[sy * w..(sy + 1) * w];
+                let mut row = 0.0f32;
+                for (j, &g) in gy_row.iter().enumerate() {
+                    row += g * src_row[sx0 + j * stride];
                 }
-                let mut acc = 0.0f32;
-                for oy in oy0..oy1 {
-                    let sy = oy * stride + ky - pad;
-                    let sx0 = ox0 * stride + kx - pad;
-                    let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
-                    if stride == 1 {
-                        acc += kernel::dot8(gy_row, &src[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)]);
-                    } else {
-                        let src_row = &src[sy * w..(sy + 1) * w];
-                        let mut row = 0.0f32;
-                        for (j, &g) in gy_row.iter().enumerate() {
-                            row += g * src_row[sx0 + j * stride];
-                        }
-                        acc += row;
-                    }
+                acc += row;
+            }
+            dw[ky * k + kx] += acc;
+        }
+    }
+}
+
+/// Rows per `dw` row group: one SIMD register holds one lane of eight
+/// rows' dot products.
+const DW_ROWS: usize = 8;
+
+/// Column-major copy of the `rows x cols` plane `src`: column `c` goes to
+/// `dst[c * stride..c * stride + rows]`. The `stride - rows` rows after it
+/// are never written, so a zeroed `dst` keeps zero rows there for a row
+/// group that runs past the last valid row.
+fn transpose_rows(dst: &mut [f32], src: &[f32], rows: usize, cols: usize, stride: usize) {
+    for (r, row) in src.chunks_exact(cols).take(rows).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * stride + r] = v;
+        }
+    }
+}
+
+/// Stride-1 depthwise weight gradient, row-batched. Tap `(ky, kx)` of the
+/// reference computation sums, over its valid output rows `oy` in
+/// ascending order, `kernel::dot8(gy[oy][ox0..ox1], src[oy + ky - pad]
+/// [sx0..sx0 + n])`. Here both planes are transposed once, so the `n`
+/// columns of eight consecutive rows are contiguous eight-float runs, and
+/// [`dw_rows8_scalar`] / [`dw_rows8_avx2`] compute the eight rows' `dot8`
+/// values side by side — one vector lane per row, one accumulator per
+/// `dot8` lane, then `dot8`'s lane tree and sequential tail. The row values
+/// are then added in ascending row order, so every tap gets exactly the
+/// reference association. A trailing group may compute rows past the last
+/// valid one (over zero padding); their values are never read.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dw_grad_s1<const AVX2: bool>(
+    scr: &mut DwGradScratch,
+    dw: &mut [f32],
+    src: &[f32],
+    gy: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    let (gs, ss) = (oh + DW_ROWS - 1, h + DW_ROWS - 1);
+    transpose_rows(&mut scr.gy_t, gy, oh, ow, gs);
+    transpose_rows(&mut scr.src_t, src, h, w, ss);
+    let (gy_t, src_t) = (&scr.gy_t[..], &scr.src_t[..]);
+    // Every tap of kernel row `ky` shares the output rows `oy0..oy1`, so
+    // the row dot products are kept `[oy][kx]` and the `k` ascending-row
+    // sums run side by side.
+    let (row_dots, sums) = (&mut scr.row_dots[..], &mut scr.sums[..]);
+    for ky in 0..k {
+        let (oy0, oy1) = valid_out_range(ky, pad, 1, h, oh);
+        for kx in 0..k {
+            let (ox0, ox1) = valid_out_range(kx, pad, 1, w, ow);
+            if ox0 >= ox1 {
+                continue;
+            }
+            let n = ox1 - ox0;
+            let sx0 = ox0 + kx - pad;
+            for oy in (oy0..oy1).step_by(DW_ROWS) {
+                let g = &gy_t[ox0 * gs + oy..];
+                let s = &src_t[sx0 * ss + oy + ky - pad..];
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `AVX2` is only true in the AVX2 twin, which runs
+                // after the runtime feature check.
+                let dots = if AVX2 {
+                    unsafe { dw_rows8_avx2(g, gs, s, ss, n) }
+                } else {
+                    dw_rows8_scalar(g, gs, s, ss, n)
+                };
+                #[cfg(not(target_arch = "x86_64"))]
+                let dots = dw_rows8_scalar(g, gs, s, ss, n);
+                for (r, &d) in dots.iter().enumerate().take(oy1 - oy) {
+                    row_dots[(oy + r) * k + kx] = d;
                 }
+            }
+        }
+        sums.fill(0.0);
+        for oy in oy0..oy1 {
+            for (a, &d) in sums.iter_mut().zip(&row_dots[oy * k..(oy + 1) * k]) {
+                *a += d;
+            }
+        }
+        for (kx, &acc) in sums.iter().enumerate() {
+            let (ox0, ox1) = valid_out_range(kx, pad, 1, w, ow);
+            if ox0 < ox1 {
                 dw[ky * k + kx] += acc;
             }
         }
     }
+}
+
+/// Eight rows' [`kernel::dot8`] values at once: entry `r` is `dot8(g_r,
+/// s_r)` where column `j` of row `r` is `g[j * gs + r]` (and `s[j * ss +
+/// r]`). Accumulator `acc[l][r]` is `dot8`'s lane `l` of row `r`; the lane
+/// tree and the sequential tail are `dot8`'s.
+#[inline(always)]
+fn dw_rows8_scalar(g: &[f32], gs: usize, s: &[f32], ss: usize, n: usize) -> [f32; DW_ROWS] {
+    let mut acc = [[0.0f32; DW_ROWS]; 8];
+    let chunks = n / 8;
+    for c in 0..chunks {
+        for (l, a) in acc.iter_mut().enumerate() {
+            let j = c * 8 + l;
+            let gv = &g[j * gs..j * gs + DW_ROWS];
+            let sv = &s[j * ss..j * ss + DW_ROWS];
+            for r in 0..DW_ROWS {
+                a[r] += gv[r] * sv[r];
+            }
+        }
+    }
+    let mut tail = [0.0f32; DW_ROWS];
+    for j in chunks * 8..n {
+        let gv = &g[j * gs..j * gs + DW_ROWS];
+        let sv = &s[j * ss..j * ss + DW_ROWS];
+        for r in 0..DW_ROWS {
+            tail[r] += gv[r] * sv[r];
+        }
+    }
+    std::array::from_fn(|r| {
+        (((acc[0][r] + acc[4][r]) + (acc[1][r] + acc[5][r]))
+            + ((acc[2][r] + acc[6][r]) + (acc[3][r] + acc[7][r])))
+            + tail[r]
+    })
+}
+
+/// AVX2 twin of [`dw_rows8_scalar`]: one `ymm` register per `dot8` lane,
+/// separate `_mm256_mul_ps` / `_mm256_add_ps` (no FMA, which would round
+/// once instead of twice), so every lane performs the scalar body's exact
+/// operations.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn dw_rows8_avx2(g: &[f32], gs: usize, s: &[f32], ss: usize, n: usize) -> [f32; DW_ROWS] {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    assert!(n == 0 || ((n - 1) * gs + DW_ROWS <= g.len() && (n - 1) * ss + DW_ROWS <= s.len()));
+    let (gp, sp) = (g.as_ptr(), s.as_ptr());
+    // SAFETY (every load below): column `j < n` reads `DW_ROWS` floats from
+    // offset `j * gs` / `j * ss`, in bounds by the assertion above.
+    let prod = |j: usize| -> __m256 {
+        let (gv, sv) = unsafe {
+            (
+                _mm256_loadu_ps(gp.add(j * gs)),
+                _mm256_loadu_ps(sp.add(j * ss)),
+            )
+        };
+        _mm256_mul_ps(gv, sv)
+    };
+    let mut acc = [_mm256_setzero_ps(); 8];
+    let chunks = n / 8;
+    for c in 0..chunks {
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, prod(c * 8 + l));
+        }
+    }
+    let mut tail = _mm256_setzero_ps();
+    for j in chunks * 8..n {
+        tail = _mm256_add_ps(tail, prod(j));
+    }
+    let lo = _mm256_add_ps(_mm256_add_ps(acc[0], acc[4]), _mm256_add_ps(acc[1], acc[5]));
+    let hi = _mm256_add_ps(_mm256_add_ps(acc[2], acc[6]), _mm256_add_ps(acc[3], acc[7]));
+    let sum = _mm256_add_ps(_mm256_add_ps(lo, hi), tail);
+    let mut dots = [0.0f32; DW_ROWS];
+    // SAFETY: `dots` holds exactly `DW_ROWS` floats.
+    unsafe { _mm256_storeu_ps(dots.as_mut_ptr(), sum) };
+    dots
 }
 
 /// Validates NCHW input and returns `(batch, channels, h, w)`.
@@ -739,8 +1100,8 @@ impl Tensor {
                         &mut dwp,
                         wlen,
                         threads,
-                        || (),
-                        |(), bi, dxs, dws| {
+                        || DwGradScratch::new(need_x, need_w, h, w, k, stride, oh, ow),
+                        |scr, bi, dxs, dws| {
                             for ci in 0..c {
                                 let src = &xd[(bi * c + ci) * h * w..(bi * c + ci + 1) * h * w];
                                 let ker = &wd[ci * k * k..(ci + 1) * k * k];
@@ -756,7 +1117,7 @@ impl Tensor {
                                     None
                                 };
                                 dw_plane_backward(
-                                    dx, dwt, src, ker, gy, h, w, k, stride, padding, oh, ow,
+                                    scr, dx, dwt, src, ker, gy, h, w, k, stride, padding, oh, ow,
                                 );
                             }
                         },

@@ -1,11 +1,13 @@
-//! Fused 2-D batch normalization (training mode) with hand-derived backward.
+//! Fused 2-D batch normalization with hand-derived backward passes.
 //!
-//! Inference-mode normalization is composed from broadcast primitives in the
-//! `edd-nn` layer; the fused op here handles the batch-statistics path where
-//! the mean/variance themselves depend on the input. A ReLU6-fused variant
-//! ([`Tensor::batch_norm2d_relu6_train`]) folds the activation used by the
-//! MBConv candidate ops into the same node, saving one full-tensor op node
-//! (and its gradient buffer) per normalization.
+//! Two modes share one op body: training mode
+//! ([`Tensor::batch_norm2d_train`]) normalizes with batch statistics that
+//! themselves depend on the input, and eval mode
+//! ([`Tensor::batch_norm2d_eval`]) normalizes with fixed running statistics.
+//! Each has a ReLU6-fused variant ([`Tensor::batch_norm2d_relu6_train`],
+//! [`Tensor::batch_norm2d_relu6_eval`]) that folds the activation used by
+//! the MBConv candidate ops into the same node, saving one full-tensor op
+//! node (and its gradient buffer) per normalization.
 
 use crate::array::Array;
 use crate::error::{Result, TensorError};
@@ -40,21 +42,31 @@ pub struct BatchNormOutput {
     pub batch_var: Array,
 }
 
-/// Shared implementation of training-mode batch norm, optionally fusing the
-/// ReLU6 activation into the same op node.
+/// Shared implementation of batch norm in both modes, optionally fusing the
+/// ReLU6 activation into the same op node. `running` holds the eval-mode
+/// `(mean, var)`; `None` selects training mode (batch statistics).
 ///
-/// The fused path is bitwise identical to `batch_norm2d_train` followed by
+/// The fused path is bitwise identical to the unfused op followed by
 /// `relu6()`: the forward clamp applies the same expression to the same
 /// pre-activation, and the backward masks the incoming gradient with the
 /// ReLU6 derivative of the recomputed pre-activation
 /// `y = gamma * xhat + beta` (same inputs, same expression, same bits as the
-/// forward) before running the exact same per-channel reduction loops the
-/// unfused backward runs.
-fn bn2d_train_impl(
+/// forward) before running the exact same per-channel loops the unfused
+/// backward runs.
+///
+/// Eval mode evaluates `((x - mean) * inv_std) * gamma + beta` per element,
+/// the expression of the broadcast composition `x.sub(mean).mul(inv_std)
+/// .mul(gamma).add(beta)`, so its outputs match that composition bit for
+/// bit; so does its input gradient `(g * gamma) * inv_std`. The `gamma` and
+/// `beta` gradients use the training path's fixed eight-lane reductions
+/// instead of the composition's axis-by-axis sums, so they agree with it to
+/// rounding, not bitwise.
+fn bn2d_impl(
     x: &Tensor,
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
+    running: Option<(&Array, &Array)>,
     fuse_relu6: bool,
 ) -> Result<BatchNormOutput> {
     let shape = x.shape();
@@ -72,14 +84,25 @@ fn bn2d_train_impl(
             op: "batch_norm2d gamma/beta",
         });
     }
+    if let Some((rm, rv)) = running {
+        if rm.shape() != [c] || rv.shape() != [c] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: rm.shape().to_vec(),
+                rhs: vec![c],
+                op: "batch_norm2d running mean/var",
+            });
+        }
+    }
     let n = (b * h * w) as f32;
     let plane = h * w;
     let elems = b * c * plane;
     let gval = gamma.value_clone();
     let bval = beta.value_clone();
 
-    let mut mean = Array::zeros(&[c]);
-    let mut var = Array::zeros(&[c]);
+    let (mut mean, mut var) = match running {
+        Some((rm, rv)) => (rm.clone(), rv.clone()),
+        None => (Array::zeros(&[c]), Array::zeros(&[c])),
+    };
     // Every plane of the output is written below, so it can start
     // uninitialized (pool-recycled without zeroing). The normalized
     // activations are NOT materialized: the backward recomputes
@@ -94,10 +117,10 @@ fn bn2d_train_impl(
         let xv = x.value();
         let xd = xv.data();
 
-        // Channel statistics via the kernel layer's lane-parallel
-        // reductions: fixed association (deterministic) but no sequential
-        // float dependency chain, so the passes vectorize.
-        {
+        // Training-mode channel statistics via the kernel layer's
+        // lane-parallel reductions: fixed association (deterministic) but
+        // no sequential float dependency chain, so the passes vectorize.
+        if running.is_none() {
             // One pool task per channel: each task owns mean[ci]/var[ci], so
             // the SendPtr windows are disjoint and the per-channel values are
             // independent of how tasks land on workers.
@@ -150,6 +173,7 @@ fn bn2d_train_impl(
         }
     }
 
+    let eval_mode = running.is_some();
     let x_t = x.clone();
     let g_t = gamma.clone();
     let b_t = beta.clone();
@@ -233,7 +257,27 @@ fn bn2d_train_impl(
                         (unsafe { dgamma_p.slice(ci, 1) })[0] = sg;
                     });
                 }
-                let dx = if x_t.requires_grad() {
+                let dx = if x_t.requires_grad() && eval_mode {
+                    // Eval mode: the statistics are constants, so
+                    // dx = (g * gamma) * inv_std — the composition's order.
+                    let mut dx = Array::uninit(&[b, c, h, w]);
+                    {
+                        let dx_p = SendPtr::new(dx.data_mut().as_mut_ptr());
+                        per_channel(c, elems, &|ci| {
+                            let inv_std = 1.0 / (var_saved.data()[ci] + eps).sqrt();
+                            let ga = gval_saved.data()[ci];
+                            for bi in 0..b {
+                                let base = (bi * c + ci) * plane;
+                                let gs = &gd[base..base + plane];
+                                let ds = unsafe { dx_p.slice(base, plane) };
+                                for (d, &gv) in ds.iter_mut().zip(gs) {
+                                    *d = (gv * ga) * inv_std;
+                                }
+                            }
+                        });
+                    }
+                    Some(dx)
+                } else if x_t.requires_grad() {
                     // dx = gamma * inv_std / n * (n*g - sum(g) - xhat * sum(g*xhat)),
                     // computed before dbeta/dgamma are moved into their parents.
                     let mut dx = Array::uninit(&[b, c, h, w]);
@@ -300,7 +344,7 @@ impl Tensor {
         beta: &Tensor,
         eps: f32,
     ) -> Result<BatchNormOutput> {
-        bn2d_train_impl(self, gamma, beta, eps, false)
+        bn2d_impl(self, gamma, beta, eps, None, false)
     }
 
     /// Training-mode batch normalization fused with a ReLU6 activation in a
@@ -322,7 +366,52 @@ impl Tensor {
         beta: &Tensor,
         eps: f32,
     ) -> Result<BatchNormOutput> {
-        bn2d_train_impl(self, gamma, beta, eps, true)
+        bn2d_impl(self, gamma, beta, eps, None, true)
+    }
+
+    /// Eval-mode batch normalization over an NCHW input with fixed
+    /// per-channel statistics `running_mean` / `running_var` `[c]`:
+    /// `((x - mean) * inv_std) * gamma + beta` with
+    /// `inv_std = 1 / sqrt(var + eps)`.
+    ///
+    /// One op node instead of the four broadcast ops that spell the same
+    /// expression (and the same bits). Gradients flow to the input, `gamma`
+    /// and `beta`; the statistics are constants.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless the input is rank-4 and `gamma`, `beta` and
+    /// both statistics have shape `[c]`.
+    pub fn batch_norm2d_eval(
+        &self,
+        gamma: &Tensor,
+        beta: &Tensor,
+        running_mean: &Array,
+        running_var: &Array,
+        eps: f32,
+    ) -> Result<Tensor> {
+        let running = Some((running_mean, running_var));
+        Ok(bn2d_impl(self, gamma, beta, eps, running, false)?.output)
+    }
+
+    /// Eval-mode batch normalization fused with a ReLU6 activation in a
+    /// single op node: `relu6(batch_norm2d_eval(x))`, bitwise identical to
+    /// the unfused pair in forward and backward.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless the input is rank-4 and `gamma`, `beta` and
+    /// both statistics have shape `[c]`.
+    pub fn batch_norm2d_relu6_eval(
+        &self,
+        gamma: &Tensor,
+        beta: &Tensor,
+        running_mean: &Array,
+        running_var: &Array,
+        eps: f32,
+    ) -> Result<Tensor> {
+        let running = Some((running_mean, running_var));
+        Ok(bn2d_impl(self, gamma, beta, eps, running, true)?.output)
     }
 }
 
@@ -488,6 +577,73 @@ mod tests {
         assert_eq!(x1.grad().unwrap().data(), x2.grad().unwrap().data());
         assert_eq!(g1.grad().unwrap().data(), g2.grad().unwrap().data());
         assert_eq!(b1.grad().unwrap().data(), b2.grad().unwrap().data());
+    }
+
+    /// Eval-mode batch norm spelled as the four broadcast ops it fuses.
+    fn eval_composition(x: &Tensor, ga: &Tensor, be: &Tensor, rm: &Array, rv: &Array) -> Tensor {
+        let c = rm.len();
+        let bshape = [1, c, 1, 1];
+        let mean = Tensor::constant(rm.reshape(&bshape).unwrap());
+        let inv_std = Tensor::constant(
+            rv.map(|v| 1.0 / (v + 1e-5).sqrt())
+                .reshape(&bshape)
+                .unwrap(),
+        );
+        x.sub(&mean)
+            .unwrap()
+            .mul(&inv_std)
+            .unwrap()
+            .mul(&ga.reshape(&bshape).unwrap())
+            .unwrap()
+            .add(&be.reshape(&bshape).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn eval_mode_matches_the_broadcast_composition() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let rm = Array::randn(&[4], 1.0, &mut rng);
+        let rv = Array::rand_uniform(&[4], 0.3, 2.0, &mut rng);
+        let wts = Tensor::constant(Array::randn(&[3, 4, 5, 5], 1.0, &mut rng));
+        for relu6 in [false, true] {
+            let [(x1, g1, b1), (x2, g2, b2)] = fused_test_inputs(23);
+            let mut reference = eval_composition(&x1, &g1, &b1, &rm, &rv);
+            let fused = if relu6 {
+                reference = reference.relu6();
+                x2.batch_norm2d_relu6_eval(&g2, &b2, &rm, &rv, 1e-5)
+                    .unwrap()
+            } else {
+                x2.batch_norm2d_eval(&g2, &b2, &rm, &rv, 1e-5).unwrap()
+            };
+            assert_eq!(reference.value().data(), fused.value().data());
+            reference.mul(&wts).unwrap().sum().backward();
+            fused.mul(&wts).unwrap().sum().backward();
+            // The input gradient is the composition's expression: same bits.
+            assert_eq!(x1.grad().unwrap().data(), x2.grad().unwrap().data());
+            // gamma/beta reduce in a different (lane-parallel) order.
+            for (p1, p2) in [(&g1, &g2), (&b1, &b2)] {
+                let (r, f) = (p1.grad().unwrap(), p2.grad().unwrap());
+                for (&rv, &fv) in r.data().iter().zip(f.data()) {
+                    assert!(
+                        (rv - fv).abs() <= 1e-6 * rv.abs().max(1.0),
+                        "relu6={relu6}: composition {rv} vs fused {fv}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_mode_validates_statistics() {
+        let x = Tensor::param(Array::zeros(&[2, 3, 4, 4]));
+        let (g, b) = (
+            Tensor::param(Array::ones(&[3])),
+            Tensor::param(Array::zeros(&[3])),
+        );
+        let (ok, bad) = (Array::ones(&[3]), Array::ones(&[2]));
+        assert!(x.batch_norm2d_eval(&g, &b, &ok, &ok, 1e-5).is_ok());
+        assert!(x.batch_norm2d_eval(&g, &b, &bad, &ok, 1e-5).is_err());
+        assert!(x.batch_norm2d_relu6_eval(&g, &b, &ok, &bad, 1e-5).is_err());
     }
 
     #[test]

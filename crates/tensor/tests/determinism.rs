@@ -15,7 +15,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Forward outputs and gradients of a workload touching every pooled code
-/// path: conv, dwconv, matmul, batch norm, softmax cross-entropy,
+/// path: conv, dwconv (stride 2 through the tap loops, stride 1 with
+/// k = 3, 5, 7 through the stencil, gather and row-batched paths), matmul,
+/// batch norm in training and eval mode, softmax cross-entropy,
 /// Gumbel-Softmax sampling, the fused `add_n` combine, elementwise
 /// activations and the chunked `sum` reduction.
 fn run_workload() -> Vec<Vec<u32>> {
@@ -28,11 +30,32 @@ fn run_workload() -> Vec<Vec<u32>> {
     let gamma = Tensor::param(Array::ones(&[16]));
     let beta = Tensor::param(Array::zeros(&[16]));
     let logits = Tensor::param(Array::randn(&[6, 10], 1.0, &mut rng));
+    let xs1 = Tensor::param(Array::randn(&[4, 16, 12, 12], 1.0, &mut rng));
+    let dw_s1: Vec<Tensor> = [3usize, 5, 7]
+        .iter()
+        .map(|&k| Tensor::param(Array::randn(&[16, k, k], 0.3, &mut rng)))
+        .collect();
+    let eval_gamma = Tensor::param(Array::rand_uniform(&[16], 0.5, 1.5, &mut rng));
+    let eval_beta = Tensor::param(Array::randn(&[16], 1.0, &mut rng));
+    let xbn = Tensor::param(Array::randn(&[4, 16, 12, 12], 1.5, &mut rng));
+    let running_mean = Array::randn(&[16], 0.5, &mut rng);
+    let running_var = Array::rand_uniform(&[16], 0.5, 2.0, &mut rng);
 
     let conv = x.conv2d(&w, None, 1, 1).unwrap();
     let bn = conv.batch_norm2d_train(&gamma, &beta, 1e-5).unwrap();
     let act = bn.output.relu6();
     let dwc = act.dwconv2d(&dw, None, 2, 1).unwrap();
+    // Stride-1 "same" depthwise convolutions, k = 3, 5, 7.
+    let dws1: Vec<Tensor> = dw_s1
+        .iter()
+        .map(|wk| {
+            let k = wk.shape()[1];
+            xs1.dwconv2d(wk, None, 1, k / 2).unwrap()
+        })
+        .collect();
+    let bn_eval = xbn
+        .batch_norm2d_relu6_eval(&eval_gamma, &eval_beta, &running_mean, &running_var, 1e-5)
+        .unwrap();
     let mm = a.matmul(&b).unwrap();
     // Mixture-style combine of three transformed views of the same branch.
     let mixed = Tensor::add_n(&[dwc.clone(), dwc.relu(), dwc.mul_scalar(0.5)]).unwrap();
@@ -46,6 +69,10 @@ fn run_workload() -> Vec<Vec<u32>> {
         .add(&gs.sum())
         .unwrap()
         .add(&ce)
+        .unwrap()
+        .add(&Tensor::add_n(&dws1).unwrap().square().sum())
+        .unwrap()
+        .add(&bn_eval.square().sum())
         .unwrap();
     loss.backward();
 
@@ -66,10 +93,21 @@ fn run_workload() -> Vec<Vec<u32>> {
         bits(&gamma.grad().unwrap()),
         bits(&beta.grad().unwrap()),
         bits(&logits.grad().unwrap()),
+        bits(&dws1[0].value_clone()),
+        bits(&dws1[1].value_clone()),
+        bits(&dws1[2].value_clone()),
+        bits(&dw_s1[0].grad().unwrap()),
+        bits(&dw_s1[1].grad().unwrap()),
+        bits(&dw_s1[2].grad().unwrap()),
+        bits(&xs1.grad().unwrap()),
+        bits(&bn_eval.value_clone()),
+        bits(&xbn.grad().unwrap()),
+        bits(&eval_gamma.grad().unwrap()),
+        bits(&eval_beta.grad().unwrap()),
     ]
 }
 
-const STAGES: [&str; 15] = [
+const STAGES: [&str; 26] = [
     "conv2d forward",
     "batch-norm forward",
     "dwconv2d forward",
@@ -85,6 +123,17 @@ const STAGES: [&str; 15] = [
     "bn gamma grad",
     "bn beta grad",
     "cross-entropy logits grad",
+    "dwconv2d s1 k3 forward",
+    "dwconv2d s1 k5 forward",
+    "dwconv2d s1 k7 forward",
+    "dwconv2d s1 k3 weight grad",
+    "dwconv2d s1 k5 weight grad",
+    "dwconv2d s1 k7 weight grad",
+    "dwconv2d s1 input grad",
+    "eval bn+relu6 forward",
+    "eval bn input grad",
+    "eval bn gamma grad",
+    "eval bn beta grad",
 ];
 
 #[test]
@@ -98,6 +147,7 @@ fn pool_size_does_not_change_a_single_bit() {
     let two = run_workload();
     set_num_threads(1);
     let one = run_workload();
+    assert_eq!(seven.len(), STAGES.len(), "every stage is named");
 
     for ((s7, s7b), name) in seven.iter().zip(&seven_again).zip(STAGES) {
         assert_eq!(s7, s7b, "{name} differs between two runs on the same pool");

@@ -1,9 +1,10 @@
 //! Finite-difference gradient checks routed through the blocked kernel
 //! layer: conv2d and depthwise conv (including strided and padded
-//! configurations) plus a linear-layer-shaped matmul+bias chain. These
-//! guard the transpose-free backward kernels (`matmul_at_b` /
-//! `matmul_a_bt`) and the batched conv backward against the analytic
-//! gradients drifting from the math.
+//! configurations), eval-mode batch norm, plus a linear-layer-shaped
+//! matmul+bias chain. These guard the transpose-free backward kernels
+//! (`matmul_at_b` / `matmul_a_bt`), the batched conv backward and the
+//! depthwise gather / row-batched backward against the analytic gradients
+//! drifting from the math.
 
 use edd_tensor::gradcheck::check_gradients;
 use edd_tensor::{Array, Tensor};
@@ -90,6 +91,63 @@ fn dwconv2d_gradients_stride_two() {
         report.max_rel_error < TOL,
         "dwconv2d s2 p1 rel error {}",
         report.max_rel_error
+    );
+}
+
+#[test]
+fn dwconv2d_gradients_unit_stride_wide_kernels() {
+    // k = 5 and 7 on ragged planes taller than one eight-row group: the
+    // gather input gradient and the row-batched weight gradient, with a
+    // non-uniform output gradient.
+    for (seed, k, h, w) in [(27u64, 5usize, 11usize, 9usize), (28, 7, 10, 13)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::param(Array::randn(&[2, 3, h, w], 1.0, &mut rng));
+        let wt = Tensor::param(Array::randn(&[3, k, k], 0.3, &mut rng));
+        let (xr, wr) = (x.clone(), wt.clone());
+        let report = check_gradients(
+            &[x, wt],
+            move || xr.dwconv2d(&wr, None, 1, k / 2).unwrap().square().sum(),
+            EPS,
+            1,
+        );
+        assert!(
+            report.max_rel_error < TOL,
+            "dwconv2d s1 k{k} rel error {} (param {}, index {})",
+            report.max_rel_error,
+            report.worst_param,
+            report.worst_index
+        );
+    }
+}
+
+#[test]
+fn batch_norm2d_eval_gradients() {
+    // Fixed running statistics: gradients flow to the input, gamma and
+    // beta, not to the statistics.
+    let mut rng = StdRng::seed_from_u64(29);
+    let x = Tensor::param(Array::randn(&[2, 3, 4, 5], 1.5, &mut rng));
+    let gamma = Tensor::param(Array::rand_uniform(&[3], 0.5, 1.5, &mut rng));
+    let beta = Tensor::param(Array::randn(&[3], 0.5, &mut rng));
+    let mean = Array::randn(&[3], 0.5, &mut rng);
+    let var = Array::rand_uniform(&[3], 0.5, 2.0, &mut rng);
+    let (xr, gr, br) = (x.clone(), gamma.clone(), beta.clone());
+    let report = check_gradients(
+        &[x, gamma, beta],
+        move || {
+            xr.batch_norm2d_eval(&gr, &br, &mean, &var, 1e-5)
+                .unwrap()
+                .square()
+                .sum()
+        },
+        EPS,
+        1,
+    );
+    assert!(
+        report.max_rel_error < TOL,
+        "batch_norm2d_eval rel error {} (param {}, index {})",
+        report.max_rel_error,
+        report.worst_param,
+        report.worst_index
     );
 }
 
