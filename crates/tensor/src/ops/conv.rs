@@ -310,9 +310,6 @@ struct DwGradScratch {
     /// followed by `DW_ROWS - 1` zero rows.
     gy_t: scratch::ScratchBuf,
     src_t: scratch::ScratchBuf,
-    /// One kernel row's per-row dot products, `[oy][kx]`, and their sums.
-    row_dots: scratch::ScratchBuf,
-    sums: scratch::ScratchBuf,
 }
 
 impl DwGradScratch {
@@ -335,8 +332,6 @@ impl DwGradScratch {
             gy_pad: scratch::alloc_zeroed(len(gather, oh * (w + k - 1))),
             gy_t: scratch::alloc_zeroed(len(rows, ow * (oh + DW_ROWS - 1))),
             src_t: scratch::alloc_zeroed(len(rows, w * (h + DW_ROWS - 1))),
-            row_dots: scratch::alloc(len(rows, oh * k)),
-            sums: scratch::alloc(len(rows, k)),
         }
     }
 }
@@ -535,9 +530,9 @@ const DW_ROWS: usize = 8;
 /// are never written, so a zeroed `dst` keeps zero rows there for a row
 /// group that runs past the last valid row.
 fn transpose_rows(dst: &mut [f32], src: &[f32], rows: usize, cols: usize, stride: usize) {
-    for (r, row) in src.chunks_exact(cols).take(rows).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            dst[c * stride + r] = v;
+    for (c, col) in dst.chunks_exact_mut(stride).take(cols).enumerate() {
+        for (r, d) in col[..rows].iter_mut().enumerate() {
+            *d = src[r * cols + c];
         }
     }
 }
@@ -571,10 +566,6 @@ fn dw_grad_s1<const AVX2: bool>(
     transpose_rows(&mut scr.gy_t, gy, oh, ow, gs);
     transpose_rows(&mut scr.src_t, src, h, w, ss);
     let (gy_t, src_t) = (&scr.gy_t[..], &scr.src_t[..]);
-    // Every tap of kernel row `ky` shares the output rows `oy0..oy1`, so
-    // the row dot products are kept `[oy][kx]` and the `k` ascending-row
-    // sums run side by side.
-    let (row_dots, sums) = (&mut scr.row_dots[..], &mut scr.sums[..]);
     for ky in 0..k {
         let (oy0, oy1) = valid_out_range(ky, pad, 1, h, oh);
         for kx in 0..k {
@@ -584,6 +575,7 @@ fn dw_grad_s1<const AVX2: bool>(
             }
             let n = ox1 - ox0;
             let sx0 = ox0 + kx - pad;
+            let mut acc = 0.0f32;
             for oy in (oy0..oy1).step_by(DW_ROWS) {
                 let g = &gy_t[ox0 * gs + oy..];
                 let s = &src_t[sx0 * ss + oy + ky - pad..];
@@ -597,22 +589,11 @@ fn dw_grad_s1<const AVX2: bool>(
                 };
                 #[cfg(not(target_arch = "x86_64"))]
                 let dots = dw_rows8_scalar(g, gs, s, ss, n);
-                for (r, &d) in dots.iter().enumerate().take(oy1 - oy) {
-                    row_dots[(oy + r) * k + kx] = d;
+                for &d in &dots[..DW_ROWS.min(oy1 - oy)] {
+                    acc += d;
                 }
             }
-        }
-        sums.fill(0.0);
-        for oy in oy0..oy1 {
-            for (a, &d) in sums.iter_mut().zip(&row_dots[oy * k..(oy + 1) * k]) {
-                *a += d;
-            }
-        }
-        for (kx, &acc) in sums.iter().enumerate() {
-            let (ox0, ox1) = valid_out_range(kx, pad, 1, w, ow);
-            if ox0 < ox1 {
-                dw[ky * k + kx] += acc;
-            }
+            dw[ky * k + kx] += acc;
         }
     }
 }
@@ -1282,6 +1263,72 @@ mod tests {
                 (num - ana).abs() / num.abs().max(1.0) < 5e-2,
                 "idx {idx}: numeric {num} vs analytic {ana}"
             );
+        }
+    }
+
+    #[test]
+    fn row_batched_dots_match_dot8_per_row() {
+        // Columns of eight rows, strided like the transposed planes, with
+        // NaN/±Inf sprinkled in: every row value must be `dot8` of that
+        // row, bit for bit, on the portable and the AVX2 path alike.
+        let mut rng = StdRng::seed_from_u64(17);
+        let (gs, ss) = (11, 13);
+        for n in 0..=20 {
+            let mut g = Array::randn(&[n.max(1) * gs], 1.0, &mut rng);
+            let s = Array::randn(&[n.max(1) * ss], 1.0, &mut rng);
+            if n > 3 {
+                g.data_mut()[gs + 2] = f32::NAN;
+                g.data_mut()[3 * gs + 5] = f32::INFINITY;
+            }
+            let (g, s) = (g.data(), s.data());
+            let dots = dw_rows8_scalar(g, gs, s, ss, n);
+            for (r, &d) in dots.iter().enumerate() {
+                let gr: Vec<f32> = (0..n).map(|j| g[j * gs + r]).collect();
+                let sr: Vec<f32> = (0..n).map(|j| s[j * ss + r]).collect();
+                let want = kernel::dot8(&gr, &sr);
+                assert!(
+                    d.to_bits() == want.to_bits() || (d.is_nan() && want.is_nan()),
+                    "n {n} row {r}: {d} vs dot8 {want}"
+                );
+            }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support verified just above.
+                let fast = unsafe { dw_rows8_avx2(g, gs, s, ss, n) };
+                for (a, b) in fast.iter().zip(&dots) {
+                    assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_dx_matches_scatter_dx_for_wide_padding() {
+        // Padding past `k - 1` drops gy columns from the padded copy (a
+        // negative shift); the gather must still equal the scatter loop.
+        let mut rng = StdRng::seed_from_u64(19);
+        for (h, w, pad) in [(4usize, 5usize, 3usize), (6, 9, 4), (2, 3, 5)] {
+            let k = 3;
+            let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
+            let ker = Array::randn(&[k * k], 0.5, &mut rng);
+            let gy = Array::randn(&[oh * ow], 1.0, &mut rng);
+            let mut want = vec![0.0f32; h * w];
+            dx_plane_taps(&mut want, ker.data(), gy.data(), h, w, k, 1, pad, oh, ow);
+            let mut got = vec![f32::NAN; h * w];
+            let mut padded = vec![0.0f32; oh * (w + k - 1)];
+            dx_plane_s1::<3>(
+                &mut got,
+                &mut padded,
+                ker.data(),
+                gy.data(),
+                h,
+                w,
+                pad,
+                oh,
+                ow,
+            );
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "h {h} w {w} pad {pad}");
         }
     }
 
