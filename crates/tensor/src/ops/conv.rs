@@ -74,12 +74,11 @@ const DW_GROUP: usize = 8;
 /// Double-width depthwise group (see [`DW_GROUP`]).
 const DW_GROUP2: usize = 16;
 
-/// Copies the `rows x cols` plane `src` into `padded`, a zeroed plane of
-/// row width `pw`: column `c` lands at column `c + shift` (`shift` may be
-/// negative; columns that fall outside `[0, pw)` are dropped). The other
-/// columns are never written, so they keep their `+0.0` — a buffer reused
-/// for planes of one geometry stays a zero-padded copy.
-fn copy_rows_shifted(
+/// Writes the `rows x cols` plane `src` into `padded`, a plane of row width
+/// `pw`, zero-padded horizontally: column `c` lands at column `c + shift`
+/// (`shift` may be negative; columns that fall outside `[0, pw)` are
+/// dropped) and every other column is `+0.0`.
+fn zero_padded_copy(
     padded: &mut [f32],
     src: &[f32],
     rows: usize,
@@ -88,13 +87,17 @@ fn copy_rows_shifted(
     shift: isize,
 ) {
     let c0 = shift.min(0).unsigned_abs();
-    let c1 = cols.min(pw.saturating_add_signed(-shift));
-    if c0 < c1 {
-        let j0 = c0.saturating_add_signed(shift);
-        for r in 0..rows {
-            padded[r * pw + j0..r * pw + j0 + (c1 - c0)]
-                .copy_from_slice(&src[r * cols + c0..r * cols + c1]);
-        }
+    let c1 = cols.min(pw.saturating_add_signed(-shift)).max(c0);
+    let j0 = c0.saturating_add_signed(shift).min(pw);
+    let j1 = j0 + (c1 - c0);
+    for (prow, srow) in padded
+        .chunks_exact_mut(pw)
+        .zip(src.chunks_exact(cols))
+        .take(rows)
+    {
+        prow[..j0].fill(0.0);
+        prow[j0..j1].copy_from_slice(&srow[c0..c1]);
+        prow[j1..].fill(0.0);
     }
 }
 
@@ -217,8 +220,8 @@ fn dw_plane_s1<const K: usize>(
     ow: usize,
 ) {
     let pw = ow + K - 1; // padded row width: sx = ox + kx spans [0, ow + K - 1)
-    let mut padded = scratch::alloc_zeroed(h * pw);
-    copy_rows_shifted(&mut padded, src, h, w, pw, pad as isize);
+    let mut padded = scratch::alloc(h * pw);
+    zero_padded_copy(&mut padded, src, h, w, pw, pad as isize);
     stencil_plane_s1::<K, false>(dst, &padded, ker, h, pw, pad, oh, ow);
 }
 
@@ -226,8 +229,8 @@ fn dw_plane_s1<const K: usize>(
 /// sums `ker[ky][kx] * gy[sy + pad - ky][sx + pad - kx]` over the taps in
 /// ascending `(ky, kx)` order from `+0.0`, reading a copy of `gy` zero-padded
 /// horizontally to `w + K - 1` columns (gy column `ox` at padded column
-/// `ox + K - 1 - pad`) built in `padded`, a zeroed `oh x (w + K - 1)`
-/// buffer. Overwrites the whole plane.
+/// `ox + K - 1 - pad`) built in `padded`, an `oh x (w + K - 1)` buffer.
+/// Overwrites the whole plane.
 ///
 /// Bitwise identity with the scatter loop ([`dx_plane_taps`]): there each
 /// `dx` element receives the same products in the same `(ky, kx)` order,
@@ -249,7 +252,7 @@ fn dx_plane_s1<const K: usize>(
     ow: usize,
 ) {
     let pw = w + K - 1;
-    copy_rows_shifted(padded, gy, oh, ow, pw, (K - 1) as isize - pad as isize);
+    zero_padded_copy(padded, gy, oh, ow, pw, (K - 1) as isize - pad as isize);
     stencil_plane_s1::<K, true>(dx, padded, ker, oh, pw, pad, h, w);
 }
 
@@ -299,10 +302,10 @@ fn dw_plane_taps(
     }
 }
 
-/// Scratch planes of the stride-1 depthwise backward, allocated zeroed once
-/// per worker and reused for all of its planes. Every plane of one op has
-/// the same geometry, so the zero margins and padding rows, which the
-/// per-plane copies never write, stay zero.
+/// Scratch planes of the stride-1 depthwise backward, allocated once per
+/// worker and reused for all of its planes. Every plane of one op has the
+/// same geometry, so the transposed planes' padding rows, zeroed at
+/// allocation and never written by the per-plane copies, stay zero.
 struct DwGradScratch {
     /// `gy` zero-padded to `w + k - 1` columns for [`dx_plane_s1`].
     gy_pad: scratch::ScratchBuf,
@@ -329,7 +332,7 @@ impl DwGradScratch {
         let rows = need_w && stride == 1;
         let len = |on: bool, n: usize| if on { n } else { 0 };
         DwGradScratch {
-            gy_pad: scratch::alloc_zeroed(len(gather, oh * (w + k - 1))),
+            gy_pad: scratch::alloc(len(gather, oh * (w + k - 1))),
             gy_t: scratch::alloc_zeroed(len(rows, ow * (oh + DW_ROWS - 1))),
             src_t: scratch::alloc_zeroed(len(rows, w * (h + DW_ROWS - 1))),
         }
