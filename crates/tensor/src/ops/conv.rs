@@ -381,6 +381,11 @@ fn dw_plane_backward(
     dw_plane_backward_impl::<false>(scr, dx, dw, src, ker, gy, h, w, k, stride, pad, oh, ow);
 }
 
+/// AVX2 twin of [`dw_plane_backward`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -583,9 +588,9 @@ fn dw_grad_s1<const AVX2: bool>(
                 let g = &gy_t[ox0 * gs + oy..];
                 let s = &src_t[sx0 * ss + oy + ky - pad..];
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `AVX2` is only true in the AVX2 twin, which runs
-                // after the runtime feature check.
                 let dots = if AVX2 {
+                    // SAFETY: `AVX2` is only true in the AVX2 twin, which
+                    // runs after the runtime feature check.
                     unsafe { dw_rows8_avx2(g, gs, s, ss, n) }
                 } else {
                     dw_rows8_scalar(g, gs, s, ss, n)
@@ -647,9 +652,10 @@ fn dw_rows8_avx2(g: &[f32], gs: usize, s: &[f32], ss: usize, n: usize) -> [f32; 
     };
     assert!(n == 0 || ((n - 1) * gs + DW_ROWS <= g.len() && (n - 1) * ss + DW_ROWS <= s.len()));
     let (gp, sp) = (g.as_ptr(), s.as_ptr());
-    // SAFETY (every load below): column `j < n` reads `DW_ROWS` floats from
-    // offset `j * gs` / `j * ss`, in bounds by the assertion above.
+    // Product of column `j`'s eight rows; only called with `j < n`.
     let prod = |j: usize| -> __m256 {
+        // SAFETY: column `j < n` reads `DW_ROWS` floats from offset
+        // `j * gs` / `j * ss`, in bounds by the assertion above.
         let (gv, sv) = unsafe {
             (
                 _mm256_loadu_ps(gp.add(j * gs)),
