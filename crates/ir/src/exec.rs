@@ -5,16 +5,20 @@
 //! (`QConv2d`, `QDwConv2d`, `QLinear`), and precomputes a liveness plan so
 //! intermediate activations are dropped at their last use. Execution order
 //! is ascending node id — valid by the graph's forward-edges invariant —
-//! so the forward pass is a plain loop with no scheduling.
+//! so the forward pass is a plain loop with no scheduling. The same plan
+//! lets a residual add write into its first operand's buffer when that
+//! operand dies at the add, so the block output reuses the projection's
+//! activation instead of allocating a fresh one.
 //!
-//! The model implements [`edd_runtime::BatchModel`], which is all the
-//! serving layer needs: a hot-loaded artifact drops into `InferServer` and
-//! the sharded `serve::Server` exactly like a directly compiled
-//! `QuantizedModel`.
+//! This is the only integer executor: every engine — compiled in process
+//! by `edd_core::compile_quantized` or hot-loaded from an artifact — runs
+//! here. The model implements [`edd_runtime::BatchModel`], which is all
+//! the serving layer needs to put it behind `InferServer` or the sharded
+//! `serve::Server`.
 
 use crate::graph::{DType, Graph, Op, QAddOp};
 use edd_nn::{q_global_avg_pool, QConv2d, QDwConv2d, QLinear, QTensor, ACT_QMAX};
-use edd_runtime::BatchModel;
+use edd_runtime::{telemetry, BatchModel};
 use edd_tensor::{Array, Result, TensorError};
 
 /// Per-node executor, parallel to the graph's node list.
@@ -204,9 +208,16 @@ impl CompiledModel {
                     })
                 }
                 Layer::Add(op) => {
-                    let a = value(&values, node.inputs[0])?.as_q()?;
-                    let b = value(&values, node.inputs[1])?.as_q()?;
-                    Value::Q(qadd(op, a, b)?)
+                    let (ia, ib) = (node.inputs[0], node.inputs[1]);
+                    // Operand a dies here (and is not also operand b):
+                    // add into its buffer instead of allocating the sum.
+                    let mut a = if self.last_use[ia] == id && ia != ib {
+                        take_q(&mut values, ia)?
+                    } else {
+                        value(&values, ia)?.as_q()?.clone()
+                    };
+                    qadd_in_place(op, &mut a, value(&values, ib)?.as_q()?)?;
+                    Value::Q(a)
                 }
                 Layer::Gap => Value::Q(q_global_avg_pool(value(&values, node.inputs[0])?.as_q()?)?),
                 Layer::Linear(l) => Value::F(l.forward(value(&values, node.inputs[0])?.as_q()?)?),
@@ -234,40 +245,49 @@ impl CompiledModel {
 /// Reads a live value from the table (errors on a liveness-plan bug
 /// rather than panicking).
 fn value(values: &[Option<Value>], id: usize) -> Result<&Value> {
-    values[id].as_ref().ok_or_else(|| {
-        TensorError::InvalidArgument(format!("value of node {id} was freed before its last use"))
-    })
+    values[id].as_ref().ok_or_else(|| freed(id))
 }
 
-/// The integer residual add: each operand is brought onto the output grid
-/// by its optional requant, summed in i32, and clamped to the int8
-/// activation range — the exact loop `QMbConv::forward` runs.
-fn qadd(op: &QAddOp, a: &QTensor, b: &QTensor) -> Result<QTensor> {
+fn freed(id: usize) -> TensorError {
+    TensorError::InvalidArgument(format!("value of node {id} was freed before its last use"))
+}
+
+/// Moves a quantized value out of the table at its last use.
+fn take_q(values: &mut [Option<Value>], id: usize) -> Result<QTensor> {
+    match values[id].take() {
+        Some(Value::Q(q)) => Ok(q),
+        Some(Value::F(_)) => Err(TensorError::InvalidArgument(
+            "expected a quantized value, found a float one".into(),
+        )),
+        None => Err(freed(id)),
+    }
+}
+
+/// The integer residual add, written into `a`: each operand is brought
+/// onto the output grid by its optional requant, summed in i32, and
+/// clamped to the int8 activation range. The requant options are matched
+/// once per tensor, so the element loop carries no branch on them.
+fn qadd_in_place(op: &QAddOp, a: &mut QTensor, b: &QTensor) -> Result<()> {
+    fn sum(a: &mut [i8], b: &[i8], fa: impl Fn(i32) -> i32, fb: impl Fn(i32) -> i32) {
+        for (va, &vb) in a.iter_mut().zip(b) {
+            *va = (fa(i32::from(*va)) + fb(i32::from(vb))).clamp(-ACT_QMAX, ACT_QMAX) as i8;
+        }
+    }
     if a.shape != b.shape {
         return Err(TensorError::InvalidArgument(format!(
             "qadd operand shapes differ: {:?} vs {:?}",
             a.shape, b.shape
         )));
     }
-    let term = |rq: &Option<edd_tensor::qkernel::Requant>, v: i8| -> i32 {
-        match rq {
-            Some(rq) => rq.apply(i32::from(v)),
-            None => i32::from(v),
-        }
-    };
-    let data = a
-        .data
-        .iter()
-        .zip(&b.data)
-        .map(|(&va, &vb)| {
-            (term(&op.rq_a, va) + term(&op.rq_b, vb)).clamp(-ACT_QMAX, ACT_QMAX) as i8
-        })
-        .collect();
-    Ok(QTensor {
-        data,
-        shape: a.shape.clone(),
-        scale: op.out_scale,
-    })
+    let raw = |v: i32| v;
+    match (op.rq_a, op.rq_b) {
+        (None, None) => sum(&mut a.data, &b.data, raw, raw),
+        (None, Some(rb)) => sum(&mut a.data, &b.data, raw, |v| rb.apply(v)),
+        (Some(ra), None) => sum(&mut a.data, &b.data, |v| ra.apply(v), raw),
+        (Some(ra), Some(rb)) => sum(&mut a.data, &b.data, |v| ra.apply(v), |v| rb.apply(v)),
+    }
+    a.scale = op.out_scale;
+    Ok(())
 }
 
 impl BatchModel for CompiledModel {
@@ -292,13 +312,33 @@ impl BatchModel for CompiledModel {
         }
         let [c, h, w] = self.input_shape;
         let x = Array::from_vec(images.to_vec(), &[batch, c, h, w])?;
-        Ok(self.forward(&x)?.data().to_vec())
+        let logits = self.forward(&x)?.into_vec();
+        if telemetry::enabled() {
+            mirror_kernel_gauges();
+        }
+        Ok(logits)
     }
 }
 
-// Hot-loaded models are shared immutably across serving shards, exactly
-// like a directly compiled `QuantizedModel`; keep that property checked
-// at compile time.
+/// Mirrors the kernel-selection and panel-cache counters into the
+/// `infer.*` telemetry namespace, so serving traces show which GEMM paths
+/// the engine took next to the latency the server records. The snapshot
+/// is cumulative across the process, so gauges (latest value wins) are
+/// the right shape; counters would double-add on every request.
+fn mirror_kernel_gauges() {
+    let ks = edd_tensor::stats::snapshot();
+    telemetry::gauge("infer.select_vecmat", ks.select_vecmat);
+    telemetry::gauge("infer.select_skinny_n", ks.select_skinny_n);
+    telemetry::gauge("infer.select_square", ks.select_square);
+    telemetry::gauge("infer.select_conv", ks.select_conv);
+    telemetry::gauge("infer.select_generic", ks.select_generic);
+    telemetry::gauge("infer.pack_panels_built", ks.pack_panels_built);
+    telemetry::gauge("infer.pack_panel_hits", ks.pack_panel_hits);
+    telemetry::gauge("infer.pack_panel_misses", ks.pack_panel_misses);
+}
+
+// Compiled models are shared immutably across serving shards; keep that
+// property checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledModel>();
@@ -309,6 +349,8 @@ mod tests {
     use super::*;
     use crate::graph::{ConvOp, GraphMeta, LinearOp, Node};
     use crate::passes::{compile, PassConfig};
+    use edd_nn::QLinearSpec;
+    use edd_tensor::qkernel::Requant;
 
     /// Small annotated float graph exercising every executable op
     /// (conv, relu6, residual add, gap, linear).
@@ -420,6 +462,174 @@ mod tests {
             one.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             logits[..3].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// Nodes of a quantized `[4, 1, 1]` → 4-logit graph. With one pixel
+    /// per channel pooling is the identity, and an identity classifier
+    /// makes each logit a fixed function of one residual-add output.
+    struct QGraph(Graph);
+
+    impl QGraph {
+        fn new() -> Self {
+            let mut g = Graph::new(GraphMeta {
+                name: "qadd-test".into(),
+                input_shape: [4, 1, 1],
+                num_classes: 4,
+            });
+            g.add(Node {
+                name: "in".into(),
+                op: Op::Input,
+                inputs: vec![],
+                scale: None,
+                bits: None,
+            })
+            .unwrap();
+            QGraph(g)
+        }
+
+        fn push(&mut self, op: Op, inputs: Vec<usize>) -> usize {
+            let name = format!("n{}", self.0.len());
+            self.0
+                .add(Node {
+                    name,
+                    op,
+                    inputs,
+                    scale: None,
+                    bits: None,
+                })
+                .unwrap()
+        }
+
+        fn quantize(&mut self, scale: f32) -> usize {
+            self.push(Op::Quantize { scale }, vec![0])
+        }
+
+        /// `a + b` onto the 0.04 grid, each operand rescaled from `s_a`/`s_b`.
+        fn add(&mut self, a: usize, b: usize, s_a: f32, s_b: f32) -> usize {
+            let rq = |s: f32| Some(Requant::from_scale(f64::from(s) / 0.04));
+            self.push(
+                Op::QAdd(Box::new(QAddOp {
+                    rq_a: rq(s_a),
+                    rq_b: rq(s_b),
+                    out_scale: 0.04,
+                })),
+                vec![a, b],
+            )
+        }
+
+        fn finish(mut self, x: usize) -> CompiledModel {
+            let gap = self.push(Op::QGlobalAvgPool, vec![x]);
+            let eye: Vec<f32> = (0..16)
+                .map(|i| if i % 5 == 0 { 1.0 } else { 0.0 })
+                .collect();
+            let fc = QLinearSpec::quantize(&eye, 4, 4, &[0.0; 4], 8, 0.04);
+            self.push(Op::QLinear(Box::new(fc)), vec![gap]);
+            CompiledModel::from_graph(self.0).unwrap()
+        }
+    }
+
+    /// Values that saturate both the input grids and the residual sum.
+    fn qadd_input() -> Array {
+        let v = vec![-9.0, -1.3, 0.4, 7.7, 2.2, -0.05, 6.35, -6.4];
+        Array::from_vec(v, &[2, 4, 1, 1]).unwrap()
+    }
+
+    fn logit_bits(m: &CompiledModel) -> Vec<u32> {
+        let y = m.forward(&qadd_input()).unwrap();
+        y.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn qadd_in_place_and_copy_branches_agree_bitwise() {
+        // In place: `a` dies at the first add, `a2` is its twin.
+        let mut g = QGraph::new();
+        let (a, b, a2) = (g.quantize(0.05), g.quantize(0.02), g.quantize(0.05));
+        let s = g.add(a, b, 0.05, 0.02);
+        let t = g.add(s, a2, 0.04, 0.05);
+        let in_place = g.finish(t);
+        // Copy: `a` is read again by the second add, so the first copies.
+        let mut g = QGraph::new();
+        let (a, b) = (g.quantize(0.05), g.quantize(0.02));
+        let s = g.add(a, b, 0.05, 0.02);
+        let t = g.add(s, a, 0.04, 0.05);
+        let copied = g.finish(t);
+        assert_eq!(logit_bits(&in_place), logit_bits(&copied));
+
+        // `x + x` must copy (the operand is also the second input); it
+        // matches the same sum over two distinct equal operands.
+        let mut g = QGraph::new();
+        let a = g.quantize(0.05);
+        let s = g.add(a, a, 0.05, 0.05);
+        let doubled = g.finish(s);
+        let mut g = QGraph::new();
+        let (a, a2) = (g.quantize(0.05), g.quantize(0.05));
+        let s = g.add(a, a2, 0.05, 0.05);
+        let twins = g.finish(s);
+        assert_eq!(logit_bits(&doubled), logit_bits(&twins));
+        // Saturated sums clamp to the symmetric int8 range: 2·127 steps of
+        // 0.05 is far past 127 steps of 0.04.
+        let top = 127.0 * 0.04 * 1.001;
+        let y = doubled.forward(&qadd_input()).unwrap();
+        assert!(y.data().iter().all(|v| v.abs() <= top), "{:?}", y.data());
+        assert!(y.data().iter().any(|v| v.abs() > 126.0 * 0.04));
+    }
+
+    #[test]
+    fn qadd_clamps_to_symmetric_int8() {
+        let op = QAddOp {
+            rq_a: None,
+            rq_b: None,
+            out_scale: 0.1,
+        };
+        let q = |data: Vec<i8>| QTensor {
+            data,
+            shape: vec![1, 4],
+            scale: 0.1,
+        };
+        let mut a = q(vec![127, -127, 100, -100]);
+        qadd_in_place(&op, &mut a, &q(vec![127, -127, 50, 3])).unwrap();
+        assert_eq!(a.data, vec![127, -127, 127, -97]);
+        let mut short = QTensor {
+            shape: vec![1, 2],
+            ..q(vec![1, 2])
+        };
+        assert!(qadd_in_place(&op, &mut short, &a).is_err());
+    }
+
+    /// Captures gauge names; every other record is ignored.
+    #[derive(Default)]
+    struct GaugeNames(std::sync::Mutex<Vec<String>>);
+
+    impl telemetry::Sink for GaugeNames {
+        fn emit(&self, event: &telemetry::Event<'_>) {
+            if event.kind == telemetry::EventKind::Gauge {
+                self.0.lock().unwrap().push(event.name.to_owned());
+            }
+        }
+    }
+
+    #[test]
+    fn traced_inference_mirrors_kernel_gauges() {
+        let (m, _) = compile(&float_graph(), &PassConfig::all()).unwrap();
+        let x = input(1);
+        let sink = std::sync::Arc::new(GaugeNames::default());
+        telemetry::set_global(sink.clone());
+        let traced = m.infer_batch(x.data(), 1);
+        telemetry::clear_global();
+        traced.unwrap();
+        let names = sink.0.lock().unwrap().clone();
+        for want in [
+            "infer.select_vecmat",
+            "infer.select_skinny_n",
+            "infer.select_square",
+            "infer.select_conv",
+            "infer.select_generic",
+            "infer.pack_panels_built",
+            "infer.pack_panel_hits",
+            "infer.pack_panel_misses",
+        ] {
+            assert!(names.iter().any(|n| n == want), "{want} missing: {names:?}");
+        }
     }
 
     #[test]

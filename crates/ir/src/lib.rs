@@ -2,10 +2,9 @@
 //! the quantized inference engine.
 //!
 //! The EDD co-search emits a `DerivedArch`; training/calibration attach
-//! weights and activation scales. Previously `edd-core::quantize` lowered
-//! that directly into `edd-nn` quantized layers with special-cased fusion
-//! decisions baked into the lowering code. This crate makes the lowering
-//! a first-class, inspectable pipeline:
+//! weights and activation scales. This crate is the one compiler from
+//! that trained model to the integer engine, as a first-class,
+//! inspectable pipeline:
 //!
 //! 1. **[`graph`]** — a typed graph of ops (nodes) over tensors (edges),
 //!    each node carrying inferred shape/dtype [`Fact`]s plus the
@@ -18,9 +17,9 @@
 //!    elimination. Every optional pass preserves the quantized output
 //!    bit-for-bit (see the [`passes`] docs for why), which the test suite
 //!    enforces per pass against the unoptimized lowering.
-//! 4. **[`exec`]** — [`CompiledModel`] runs the lowered graph and
-//!    implements `edd_runtime::BatchModel`, so it serves behind the same
-//!    batching front end as a directly compiled `QuantizedModel`.
+//! 4. **[`exec`]** — [`CompiledModel`], the one integer executor, runs
+//!    the lowered graph and implements `edd_runtime::BatchModel`, so it
+//!    serves behind the batching front ends.
 //! 5. **[`artifact`]** — a versioned, CRC-checked binary format (the
 //!    snapshot container with an artifact magic) storing tensors as raw
 //!    bits; `edd compile` writes artifacts, `edd serve` hot-loads them.
@@ -33,8 +32,9 @@
 //!
 //! The crate deliberately knows nothing about search, training, or
 //! calibration — `edd-core` builds annotated float graphs out of its
-//! models (`edd_core::lower`), and everything downstream of that is pure
-//! graph transformation.
+//! models (`edd_core::lower`; `edd_core::compile_quantized` runs that
+//! plus every pass), and everything downstream of that is pure graph
+//! transformation.
 
 pub mod artifact;
 pub mod exec;

@@ -4,7 +4,7 @@
 //! one requantization rounding step of the fake-quant f32 oracle evaluated
 //! on the same quantization grids.
 
-use edd_nn::{Conv2d, QConv2d, QTensor};
+use edd_nn::{Conv2d, QConv2d, QConvSource, QConvSpec, QTensor};
 use edd_tensor::qkernel::{max_abs, qmax, scale_for};
 use edd_tensor::{Array, Tensor};
 use proptest::prelude::*;
@@ -21,8 +21,33 @@ fn on_grid_input(shape: &[usize], scale: f32, rng: &mut StdRng) -> Array {
     Array::from_vec(v, shape).unwrap()
 }
 
+/// The compiled layer of a BN-free float convolution; eligible 1×1 shapes
+/// take the im2col bypass.
+fn compile(conv: &Conv2d, bits: u32, in_scale: f32, out_scale: f32, relu6: bool) -> QConv2d {
+    let w = conv.weight().value();
+    let shape = w.shape().to_vec();
+    let bias = conv.bias().map(|b| b.value().data().to_vec());
+    QConv2d::from_spec(QConvSpec::quantize(
+        &QConvSource {
+            w: w.data(),
+            out_channels: shape[0],
+            in_channels: shape[1],
+            kernel: shape[2],
+            stride: conv.stride(),
+            padding: conv.padding(),
+            bias: bias.as_deref(),
+            bn: None,
+        },
+        bits,
+        in_scale,
+        out_scale,
+        relu6,
+        true,
+    ))
+}
+
 /// Per-output-channel fake quantization of conv weights on exactly the
-/// grid `QConv2d::compile` uses (`s_r = max_abs(row)/qmax`). Returns the
+/// grid `QConvSpec::quantize` uses (`s_r = max_abs(row)/qmax`). Returns the
 /// fake-quantized weights and the largest per-channel scale.
 fn fake_quant_per_channel(w: &Array, bits: u32) -> (Array, f32) {
     let shape = w.shape().to_vec();
@@ -67,7 +92,7 @@ proptest! {
         let oracle = oracle.value_clone();
 
         let out_scale = scale_for(max_abs(oracle.data()), 8);
-        let q = QConv2d::compile(&conv, None, bits, in_scale, out_scale, false);
+        let q = compile(&conv, bits, in_scale, out_scale, false);
         let got = q.forward(&xq).unwrap().dequantize();
 
         // One output rounding step, plus the bias-quantization error
@@ -92,7 +117,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let conv = Conv2d::new(cin, cout, 3, stride, 1, false, &mut rng);
         let (in_scale, out_scale) = (0.03f32, 0.04f32);
-        let q = QConv2d::compile(&conv, None, bits, in_scale, out_scale, true);
+        let q = compile(&conv, bits, in_scale, out_scale, true);
         let x = on_grid_input(&[1, cin, 9, 9], in_scale, &mut rng);
         let y = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
         let expect = (9 + 2 - 3) / stride + 1;

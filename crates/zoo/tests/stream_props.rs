@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use edd_ir::{compile, CompiledModel, ConvOp, Graph, GraphMeta, LinearOp, Node, Op, PassConfig};
 use edd_runtime::{decode_container_as, encode_container_as, StreamModel};
 use edd_tensor::Array;
-use edd_zoo::{compile_tiny_zoo_ir, signal_window, synthetic_signal};
+use edd_zoo::{compile_tiny_zoo, signal_window, synthetic_signal};
 use proptest::prelude::*;
 
 const SEED: u64 = 11;
@@ -85,7 +85,7 @@ fn small_graph() -> Graph {
 fn engines() -> &'static [(String, CompiledModel)] {
     static ENGINES: OnceLock<Vec<(String, CompiledModel)>> = OnceLock::new();
     ENGINES.get_or_init(|| {
-        let mut out: Vec<_> = compile_tiny_zoo_ir(SEED, &PassConfig::all())
+        let mut out: Vec<_> = compile_tiny_zoo(SEED, &PassConfig::all())
             .into_iter()
             .map(|(name, model, _)| (name, model))
             .collect();

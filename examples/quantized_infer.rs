@@ -2,14 +2,14 @@
 //!
 //! Pipeline: derived arch (mixed Φ = 4/8/8-bit) → QAT model → brief
 //! quantization-aware training on SynthImageNet → activation calibration →
-//! compile to the integer engine ([`edd::core::QuantizedModel`]) → serve
+//! compile to the integer engine ([`edd::core::compile_quantized`]) → serve
 //! batches through [`edd::runtime::InferServer`]. Everything between the
 //! input quantization and the classifier's dequantized logits runs in
 //! int8/int4 × int8 → i32 arithmetic.
 //!
 //! Run: `cargo run --release --example quantized_infer`
 
-use edd::core::{calibrate, QatModel, QuantizedModel};
+use edd::core::{calibrate, compile_quantized, QatModel, ENGINE_MAX_BITS};
 use edd::data::{SynthConfig, SynthDataset};
 use edd::nn::Module;
 use edd::runtime::InferServer;
@@ -43,12 +43,16 @@ fn main() {
     // integer arithmetic at the searched per-block precisions.
     let calib_batches: Vec<_> = train.iter().map(|b| b.images.clone()).collect();
     let calib = calibrate(&model, &calib_batches).expect("calibration");
-    let q = QuantizedModel::compile(&model, &arch, &calib);
+    let q = compile_quantized(&model, &arch, &calib).expect("compile");
+    let block_bits: Vec<u32> = arch
+        .blocks
+        .iter()
+        .map(|b| b.quant_bits.min(ENGINE_MAX_BITS))
+        .collect();
     println!(
-        "\ncompiled integer engine: block bits {:?}, {} weight bytes, input scale {:.5}",
-        q.block_bits(),
-        q.weight_bytes(),
-        q.input_scale()
+        "\ncompiled integer engine: block bits {block_bits:?}, {} weight bytes, input scale {:.5}",
+        q.graph().weight_bytes(),
+        calib.input
     );
 
     // Serve the test set through the batched inference entry point and

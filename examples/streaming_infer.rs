@@ -1,8 +1,8 @@
 //! Streaming inference with bounded memory.
 //!
 //! Pipeline: derived arch → brief QAT → calibration → integer engine
-//! ([`edd::core::QuantizedModel`]) → lift into the IR (`to_graph`) →
-//! wrap in a streaming model ([`edd::ir::PulsedModel`]) that consumes a
+//! ([`edd::core::compile_quantized`]) → wrap its compiled graph in a
+//! streaming model ([`edd::ir::PulsedModel`]) that consumes a
 //! long signal one row-slice at a time. It keeps only the last window's
 //! input rows, so carried state is bounded by the window geometry — the
 //! stream can be arbitrarily long. Every emitted sliding-window
@@ -12,9 +12,9 @@
 //!
 //! Run: `cargo run --release --example streaming_infer`
 
-use edd::core::{calibrate, QatModel, QuantizedModel};
+use edd::core::{calibrate, compile_quantized, QatModel};
 use edd::data::{SynthConfig, SynthDataset};
-use edd::ir::{CompiledModel, PulsedModel};
+use edd::ir::PulsedModel;
 use edd::nn::Module;
 use edd::runtime::{StreamModel, StreamSession};
 use edd::tensor::optim::Sgd;
@@ -44,14 +44,14 @@ fn main() {
     model.set_training(false);
     let calib_batches: Vec<_> = train.iter().map(|b| b.images.clone()).collect();
     let calib = calibrate(&model, &calib_batches).expect("calibration");
-    let q = QuantizedModel::compile(&model, &arch, &calib);
+    let oracle = compile_quantized(&model, &arch, &calib).expect("compile");
 
-    // Lift the engine into the IR and stream it: one 16-row window, new
-    // window every 4 rows.
-    let graph = q.to_graph(&arch.name).expect("to_graph");
+    // Stream the engine's graph: one 16-row window, new window every 4
+    // rows.
+    let graph = oracle.graph();
     let [channels, window, width] = graph.meta.input_shape;
     let hop = 4;
-    let pulsed = PulsedModel::from_graph(&graph, hop).expect("pulse conversion");
+    let pulsed = PulsedModel::from_graph(graph, hop).expect("pulse conversion");
     println!(
         "\npulsed `{}`: {} floats/slice, window {window} rows, hop {hop}, delay {} rows",
         arch.name,
@@ -77,7 +77,7 @@ fn main() {
         windows.len(),
         snapshot.len()
     );
-    let mut session = StreamSession::new(PulsedModel::from_graph(&graph, hop).expect("pulse"));
+    let mut session = StreamSession::new(PulsedModel::from_graph(graph, hop).expect("pulse"));
     session.restore_state(&snapshot).expect("restore");
     for row in &signal[cut..] {
         if let Some(w) = session.push(row).expect("push") {
@@ -86,7 +86,6 @@ fn main() {
     }
 
     // Verify every emitted window bitwise against the batch engine.
-    let oracle = CompiledModel::from_graph(graph).expect("batch compile");
     for w in &windows {
         let buf = signal_window(&signal, w.start_row as usize, window, channels, width);
         let x = Array::from_vec(buf, &[1, channels, window, width]).expect("window shape");

@@ -36,9 +36,10 @@ cargo test --locked -q --test golden_pins
 # bit, whatever batches the coalescer happens to form.
 cargo test --locked -q -p edd-core --test serve_determinism
 # IR-pipeline leg: every edd-ir pass configuration must reproduce the
-# direct QuantizedModel::compile outputs bitwise on the tiny zoo, and a
-# model pushed through compile -> .eddm artifact -> hot-load -> sharded
-# serving must match the direct sync path bit for bit.
+# bare lowering's outputs bitwise on the tiny zoo (golden_pins fixes the
+# full pipeline, so every configuration is pinned), and a model pushed
+# through compile -> .eddm artifact -> hot-load -> sharded serving must
+# match the in-process engine's sync path bit for bit.
 cargo test --locked -q -p edd-zoo --test ir_equivalence
 cargo test --locked -q -p edd-zoo --test artifact_serve
 # Sweep leg: a 3-target sweep (shared weight phase, per-target arch steps

@@ -27,8 +27,8 @@
 //! `devices` lists the built-in device descriptors.
 
 use edd::core::{
-    calibrate, lower_to_graph, Calibration, CoSearch, CoSearchConfig, DerivedArch, DeviceTarget,
-    QatModel, QuantizedModel, SearchSpace, SweepSearch,
+    calibrate, compile_quantized, lower_to_graph, Calibration, CoSearch, CoSearchConfig,
+    DerivedArch, DeviceTarget, QatModel, SearchSpace, SweepSearch, ENGINE_MAX_BITS,
 };
 use edd::data::{SynthConfig, SynthDataset};
 use edd::hw::gpu::GpuPrecision;
@@ -530,15 +530,18 @@ fn cmd_qinfer(args: &Args) -> Result<(), String> {
         ..SynthConfig::default()
     });
     let test = data.split(batches.max(1), batch, 2);
-    let q = QuantizedModel::compile(&model, &arch, &calib);
+    let q = compile_quantized(&model, &arch, &calib).map_err(|e| e.to_string())?;
+    let block_bits: Vec<u32> = arch
+        .blocks
+        .iter()
+        .map(|b| b.quant_bits.min(ENGINE_MAX_BITS))
+        .collect();
     println!(
-        "\ncompiled integer engine: block bits {:?}, {} weight bytes, input scale {:.5}",
-        q.block_bits(),
-        q.weight_bytes(),
-        q.input_scale()
+        "\ncompiled integer engine: block bits {block_bits:?}, {} weight bytes, input scale {:.5}",
+        q.graph().weight_bytes(),
+        calib.input
     );
 
-    let block_bits = q.block_bits().to_vec();
     let server = InferServer::new(q);
     report_served_accuracy(&server, &test)?;
 
@@ -556,19 +559,22 @@ fn cmd_qinfer(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The back half of `edd serve`, generic over the engine: starts the
-/// dynamic-batching server over `zoo`, drives the closed-loop synthetic
-/// workload, and reports per-model stats.
-fn drive_server<M: edd::runtime::BatchModel + Send + Sync + 'static>(
-    zoo: Vec<(String, std::sync::Arc<M>)>,
+/// The back half of `edd serve`: starts the dynamic-batching server over
+/// `zoo`, drives the closed-loop synthetic workload, and reports
+/// per-model stats. Each request's image is drawn at its own model's
+/// input length; the command fails if any request was refused as
+/// malformed or failed in the engine.
+fn drive_server(
+    zoo: Vec<(String, std::sync::Arc<CompiledModel>)>,
     config: edd::runtime::ServeConfig,
     requests: usize,
     producers: usize,
     window: usize,
     seed: u64,
 ) -> Result<(), String> {
+    use edd::runtime::BatchModel as _;
     let models = zoo.len();
-    let image_len = edd::runtime::BatchModel::image_len(zoo[0].1.as_ref());
+    let image_lens: Vec<usize> = zoo.iter().map(|(_, m)| m.image_len()).collect();
     println!(
         "serving with max_batch {}, max_delay {} µs, queue depth {}, {} shard(s)/model; \
          {producers} producer(s) x {requests} request(s), window {window}\n",
@@ -580,24 +586,39 @@ fn drive_server<M: edd::runtime::BatchModel + Send + Sync + 'static>(
 
     let server = edd::runtime::Server::start(zoo, config);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-    let pool: Vec<Vec<f32>> = (0..8)
-        .map(|_| {
-            edd::tensor::Array::randn(&[1, image_len], 1.0, &mut rng)
-                .data()
-                .to_vec()
+    // Eight images per model, each at that model's input length.
+    let pools: Vec<Vec<Vec<f32>>> = image_lens
+        .iter()
+        .map(|&len| {
+            (0..8)
+                .map(|_| {
+                    edd::tensor::Array::randn(&[1, len], 1.0, &mut rng)
+                        .data()
+                        .to_vec()
+                })
+                .collect()
         })
         .collect();
+    let bad_requests = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|scope| {
         for p in 0..producers {
             let server = &server;
-            let pool = &pool;
+            let pools = &pools;
+            let bad_requests = &bad_requests;
             scope.spawn(move || {
                 let mut inflight = std::collections::VecDeque::new();
                 for i in 0..requests {
+                    let model = (p + i) % models;
+                    let pool = &pools[model];
                     let img = pool[(p * 5 + i) % pool.len()].clone();
-                    match server.submit((p + i) % models, img) {
+                    match server.submit(model, img) {
                         Ok(t) => inflight.push_back(t),
-                        Err(e) => eprintln!("producer {p}: request {i} rejected: {e}"),
+                        Err(e) => {
+                            if matches!(e, edd::runtime::ServeError::BadRequest(_)) {
+                                bad_requests.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            }
+                            eprintln!("producer {p}: request {i} rejected: {e}");
+                        }
                     }
                     if inflight.len() >= window {
                         if let Err(e) = inflight.pop_front().expect("nonempty").wait() {
@@ -632,9 +653,10 @@ fn drive_server<M: edd::runtime::BatchModel + Send + Sync + 'static>(
     }
     let completed: u64 = stats.iter().map(|s| s.completed).sum();
     let failed: u64 = stats.iter().map(|s| s.failed).sum();
-    println!("\n{completed} request(s) completed, {failed} failed");
-    if failed > 0 {
-        return Err(format!("{failed} request(s) failed"));
+    let bad = bad_requests.into_inner();
+    println!("\n{completed} request(s) completed, {failed} failed, {bad} malformed");
+    if failed > 0 || bad > 0 {
+        return Err(format!("{failed} request(s) failed, {bad} malformed"));
     }
     Ok(())
 }
@@ -680,16 +702,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     let models = args.get_usize("models", 3)?.clamp(1, 3);
     println!("compiling {models} tiny-zoo integer engine(s)...");
-    let zoo: Vec<(String, std::sync::Arc<QuantizedModel>)> = edd::zoo::compile_tiny_zoo(seed)
-        .into_iter()
-        .take(models)
-        .map(|(name, q)| (name, std::sync::Arc::new(q)))
-        .collect();
+    let zoo: Vec<(String, std::sync::Arc<CompiledModel>)> =
+        edd::zoo::compile_tiny_zoo(seed, &PassConfig::all())
+            .into_iter()
+            .take(models)
+            .map(|(name, q, _)| (name, std::sync::Arc::new(q)))
+            .collect();
     for (name, q) in &zoo {
         println!(
-            "  {name}: block bits {:?}, {} weight bytes",
-            q.block_bits(),
-            q.weight_bytes()
+            "  {name}: {} nodes, {} weight bytes",
+            q.graph().len(),
+            q.graph().weight_bytes()
         );
     }
     drive_server(zoo, config, requests, producers, window, seed)
@@ -714,7 +737,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let tracing = install_trace_sink(args)?;
 
     // Resolve the batch engine: hot-load an artifact, or QAT-train and
-    // compile an architecture and lift the integer engine into the IR.
+    // compile an architecture.
     let oracle: CompiledModel = if let Some(path) = args.flags.get("artifact") {
         let model = artifact::load(std::path::Path::new(path))
             .map_err(|e| format!("loading {path}: {e}"))?;
@@ -728,9 +751,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         let arch = load_arch(args)?;
         println!("{}", arch.summary());
         let (model, calib) = train_and_calibrate(&arch, batch, batches, epochs, seed)?;
-        let q = QuantizedModel::compile(&model, &arch, &calib);
-        let graph = q.to_graph(&arch.name).map_err(|e| e.to_string())?;
-        CompiledModel::from_graph(graph).map_err(|e| e.to_string())?
+        compile_quantized(&model, &arch, &calib).map_err(|e| e.to_string())?
     };
     let meta = oracle.graph().meta.clone();
     let (channels, window, width) = (

@@ -111,6 +111,66 @@ fn compile_then_hot_load_roundtrip() {
     std::fs::remove_file(&artifact).ok();
 }
 
+/// Two artifacts with different input shapes served side by side: every
+/// request must be drawn at its own model's image length and complete.
+#[test]
+fn serve_mixes_artifacts_of_different_input_shapes() {
+    let dir = std::env::temp_dir();
+    let mut artifacts = Vec::new();
+    for size in [16usize, 12] {
+        let mut arch = edd::zoo::tiny_derived_arch();
+        arch.name = format!("edd-tiny-{size}px");
+        arch.space.image_size = size;
+        let json = dir.join(format!("edd_cli_smoke_arch_{size}.json"));
+        std::fs::write(&json, arch.to_json().unwrap()).unwrap();
+        let artifact = dir.join(format!("edd_cli_smoke_{size}px.eddm"));
+        let out = edd()
+            .args(["compile", "--qat-epochs", "1", "--arch"])
+            .arg(&json)
+            .arg("--out")
+            .arg(&artifact)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "compile of the {size}px arch failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::remove_file(&json).ok();
+        artifacts.push(artifact);
+    }
+    let list = artifacts
+        .iter()
+        .map(|p| p.to_str().unwrap())
+        .collect::<Vec<_>>()
+        .join(",");
+    let serve = edd()
+        .args([
+            "serve",
+            "--producers",
+            "1",
+            "--requests",
+            "40",
+            "--artifacts",
+        ])
+        .arg(&list)
+        .output()
+        .expect("runs");
+    let text = String::from_utf8_lossy(&serve.stdout);
+    assert!(
+        serve.status.success(),
+        "serve of mixed-shape artifacts failed: {}\nstdout: {text}",
+        String::from_utf8_lossy(&serve.stderr)
+    );
+    assert!(
+        text.contains("40 request(s) completed, 0 failed, 0 malformed"),
+        "stdout: {text}"
+    );
+    for artifact in &artifacts {
+        std::fs::remove_file(artifact).ok();
+    }
+}
+
 #[test]
 fn stream_verifies_hot_loaded_artifact() {
     let artifact = std::env::temp_dir().join("edd_cli_smoke_stream.eddm");

@@ -216,7 +216,7 @@ fn tiny_co_search_outputs_are_pinned() {
 fn tiny_zoo_engine_logits_are_pinned() {
     let mut rng = StdRng::seed_from_u64(0x1_0617);
     let image = Array::randn(&[1, 3, 16, 16], 1.0, &mut rng);
-    let engines = edd::zoo::compile_tiny_zoo_ir(7, &PassConfig::all());
+    let engines = edd::zoo::compile_tiny_zoo(7, &PassConfig::all());
     let want: [(&str, u64); 3] = [
         ("edd-tiny-quant-demo", 0x669a_0d3b_ed18_1d58),
         ("edd-tiny-int8", 0x1598_c9fd_43de_b013),
